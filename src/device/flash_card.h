@@ -1,120 +1,27 @@
 // Byte-accessed flash memory card (Intel Series 2 class).
 //
-// Writes are out-of-place into a log of erase segments managed by
-// SegmentManager.  A cleaner reclaims the lowest-utilization segment by
-// copying its live blocks into the active segment and erasing it; erasure
+// The segment log, cleaner and FTL policy are LogFlashDevice's; this class
+// adds the card's timing.  Host transfers move at the datasheet byte rates
+// after a fixed per-operation overhead, one request at a time.  Cleaning
+// copies each live block at the internal read and write rates, and erasure
 // takes a fixed time per segment (1.6 s for the Series 2) regardless of how
-// much data it reclaims.  Cleaning runs in the background during idle time
-// and is suspended while the host performs I/O (section 4.2); a host write
-// that finds no erased space stalls until the in-progress cleaning finishes.
-//
-// In on-demand mode (DeviceOptions::background_cleaning == false) the
-// cleaner only runs, synchronously, when a write exhausts the free-space
-// reserve.
+// much data it reclaims.
 #ifndef MOBISIM_SRC_DEVICE_FLASH_CARD_H_
 #define MOBISIM_SRC_DEVICE_FLASH_CARD_H_
 
-#include <memory>
-#include <utility>
-#include <vector>
-
-#include "src/device/storage_device.h"
-#include "src/flash/ftl_policy.h"
-#include "src/flash/segment_manager.h"
+#include "src/device/log_flash_device.h"
 
 namespace mobisim {
 
-class FlashCard : public StorageDevice {
+class FlashCard : public LogFlashDevice {
  public:
   FlashCard(const DeviceSpec& spec, const DeviceOptions& options);
 
-  // Preloads the card to `utilization` (fraction of capacity holding live
-  // data): the first `trace_blocks` LBAs (the workload's address space) plus
-  // enough never-accessed filler blocks.  With `interleave` the filler is
-  // spread among the workload blocks so cleaned segments carry cold data,
-  // which is the effect the paper attributes to high utilization; otherwise
-  // the filler packs into its own (never-cleaned) segments.
-  void Preload(std::uint64_t trace_blocks, double utilization, bool interleave = true);
-
-  void AdvanceTo(SimTime now) override;
-  IoResult ReadOp(SimTime now, const BlockRecord& rec) override;
-  IoResult WriteOp(SimTime now, const BlockRecord& rec) override;
-  SimTime PowerLoss(SimTime now) override;
-  void Trim(SimTime now, const BlockRecord& rec) override;
-  void Finish(SimTime end) override;
-
-  const EnergyMeter& energy() const override { return meter_; }
-  const DeviceCounters& counters() const override;
-  const DeviceSpec& spec() const override { return spec_; }
-  SimTime busy_until() const override { return busy_until_; }
-
-  const SegmentManager& segments() const { return segments_; }
-  const FtlPolicy& ftl_policy() const { return *policy_; }
-
-  // Usable-capacity timeline: one (time, usable fraction of physical
-  // capacity) entry per capacity-losing event (factory bad blocks at time 0,
-  // wear-out retirements as they happen).  Empty on a healthy card.
-  const std::vector<std::pair<SimTime, double>>& capacity_events() const {
-    return capacity_events_;
-  }
-
  private:
-  enum Mode : std::size_t { kModeRead = 0, kModeWrite, kModeErase, kModeClean, kModeIdle };
-
-  struct CleanJob {
-    bool active = false;
-    std::uint32_t victim = SegmentManager::kNoSegment;
-    SimTime copy_remaining_us = 0;
-    SimTime erase_remaining_us = 0;
-    std::uint32_t reserved_slots = 0;
-  };
-
-  // Free slots a host write may consume right now (free minus the cleaner's
-  // copy reservation).
-  std::uint64_t AvailableSlots() const;
-  // Whether a one-block host write can proceed without waiting: it needs an
-  // available slot and either room in the active segment or an erased
-  // segment the cleaner does not need (section 4.2's single-active-segment
-  // write discipline -- the source of high-utilization write stalls).
-  bool CanAcceptHostBlock() const;
-  // Starts a cleaning job if the erased-segment reserve is low and a victim
-  // exists.  Returns true if a job is (now) active.
-  bool MaybeStartCleanJob();
-  // Runs the active job to completion immediately, accounting its energy;
-  // returns the time it consumed.
-  SimTime FinishCleanJobNow();
-  // Applies the job's state transition.
-  void CompleteCleanJob();
-  void AccountUntil(SimTime t);
-  SimTime ServiceRead(SimTime now, const BlockRecord& rec);
-  SimTime ServiceWrite(SimTime now, const BlockRecord& rec);
-  // Time/energy of a write attempt that fails before committing any block.
-  SimTime FailedWrite(SimTime now, const BlockRecord& rec);
-  double UsableFraction() const;
-
-  DeviceSpec spec_;
-  DeviceOptions options_;
-  EnergyMeter meter_;
-  mutable DeviceCounters counters_;
-  // Declared before segments_: the manager scores victims through the
-  // policy, so the policy must be constructed first and outlive it.
-  std::unique_ptr<FtlPolicy> policy_;
-  // True for policies with placement/read hooks (page-diff, fat-remap).  The
-  // log-structured default skips every hook call so the hot path — and its
-  // floating-point arithmetic — is the pre-FtlPolicy code, byte for byte.
-  bool ftl_hooks_ = false;
-  SegmentManager segments_;
-  CleanJob job_;
-  FaultInjector injector_;
-
-  SimTime accounted_until_ = 0;
-  SimTime busy_until_ = 0;
-  std::uint32_t last_file_ = ~std::uint32_t{0};
-  double internal_read_kbps_ = 0.0;  // rate for policy merge reads
-  SimTime block_copy_us_;   // read+write one block during cleaning
-  SimTime erase_us_;        // fixed per-segment erase time
-  SimTime mount_scan_us_;   // reboot pass: read one summary block per segment
-  std::vector<std::pair<SimTime, double>> capacity_events_;
+  SimTime TimeRead(SimTime now, SimTime overhead_us, std::uint64_t bytes,
+                   std::uint64_t merge_bytes) override;
+  SimTime TimeWrite(SimTime now, SimTime stall_us, SimTime overhead_us,
+                    std::uint64_t bytes) override;
 };
 
 }  // namespace mobisim

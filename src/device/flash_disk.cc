@@ -20,7 +20,10 @@ FlashDisk::FlashDisk(const DeviceSpec& spec, const DeviceOptions& options)
   MOBISIM_CHECK(blocks > 0);
   mapped_.assign(blocks, false);
   pre_erased_bytes_ = blocks * options.block_bytes;
-  async_erase_ = spec.pre_erased_write_kbps > 0.0;
+  async_erase_ = options.flash_async_erasure && spec.pre_erased_write_kbps > 0.0;
+  if (async_erase_) {
+    MOBISIM_CHECK(spec.erase_kbps > 0.0);
+  }
 }
 
 void FlashDisk::Preload(std::uint64_t live_blocks) {
@@ -33,12 +36,11 @@ void FlashDisk::Preload(std::uint64_t live_blocks) {
   pre_erased_bytes_ -= live_bytes_;
 }
 
-void FlashDisk::set_asynchronous_erasure(bool enabled) {
-  if (enabled) {
-    MOBISIM_CHECK(spec_.pre_erased_write_kbps > 0.0);
-    MOBISIM_CHECK(spec_.erase_kbps > 0.0);
-  }
-  async_erase_ = enabled;
+void FlashDisk::Preload(std::uint64_t trace_blocks, double utilization, bool interleave) {
+  (void)interleave;
+  const auto live_blocks = static_cast<std::uint64_t>(
+      utilization * static_cast<double>(mapped_.size()));
+  Preload(std::max(live_blocks, trace_blocks));
 }
 
 void FlashDisk::AccountUntil(SimTime t) {

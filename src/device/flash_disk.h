@@ -25,11 +25,14 @@ class FlashDisk : public StorageDevice {
   // Marks `live_blocks` logical blocks (starting at LBA 0) as containing
   // data, leaving `capacity - live` pre-erased.  Call before the first I/O.
   void Preload(std::uint64_t live_blocks);
+  // Marks `utilization` of the capacity live, and never fewer than the
+  // workload's `trace_blocks`.  Placement does not matter to a device that
+  // never copies data, so `interleave` is ignored.
+  void Preload(std::uint64_t trace_blocks, double utilization,
+               bool interleave = true) override;
 
-  // Enables/disables the SDP5A decoupled-erasure path (enabled by default
-  // when the spec advertises it).  Disabling reproduces the paper's
-  // synchronous baseline for the section 5.3 comparison.
-  void set_asynchronous_erasure(bool enabled);
+  // Whether the SDP5A decoupled-erasure path is on: set by
+  // DeviceOptions::flash_async_erasure on a spec that supports it.
   bool asynchronous_erasure() const { return async_erase_; }
 
   void AdvanceTo(SimTime now) override;

@@ -142,11 +142,11 @@ void GeometricDisk::AccountUntil(SimTime t) {
 
 void GeometricDisk::AdvanceTo(SimTime now) { AccountUntil(now); }
 
-bool GeometricDisk::IsSpinningAt(SimTime now) const {
+bool GeometricDisk::SleepingAt(SimTime now) const {
   if (!spinning_) {
-    return false;
+    return true;
   }
-  return now < idle_since_ + options_.spin_down_after_us;
+  return now >= idle_since_ + options_.spin_down_after_us;
 }
 
 SimTime GeometricDisk::ServiceOp(SimTime now, const BlockRecord& rec, bool is_read) {

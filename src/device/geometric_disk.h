@@ -63,7 +63,7 @@ class GeometricDisk : public StorageDevice {
   const DeviceSpec& spec() const override { return spec_; }
   SimTime busy_until() const override { return busy_until_; }
 
-  bool IsSpinningAt(SimTime now) const;
+  bool SleepingAt(SimTime now) const override;
   const DiskGeometry& geometry() const { return geometry_; }
 
   // Mechanical time (us) to service `sectors` sectors starting at `sector`,

@@ -31,11 +31,11 @@ const char* SpinDownPolicyName(SpinDownPolicy policy) {
   return "unknown";
 }
 
-bool MagneticDisk::IsSpinningAt(SimTime now) const {
+bool MagneticDisk::SleepingAt(SimTime now) const {
   if (!spinning_) {
-    return false;
+    return true;
   }
-  return now < idle_since_ + threshold_us_;
+  return now >= idle_since_ + threshold_us_;
 }
 
 void MagneticDisk::AdaptThreshold(SimTime sleep_duration_us) {

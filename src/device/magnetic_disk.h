@@ -29,10 +29,8 @@ class MagneticDisk : public StorageDevice {
   const DeviceSpec& spec() const override { return spec_; }
   SimTime busy_until() const override { return busy_until_; }
 
-  // True if the platters would still be spinning at `now` (no state change).
-  // The storage system uses this to decide whether a write can be deferred
-  // into SRAM without waking the disk.
-  bool IsSpinningAt(SimTime now) const;
+  // True if the platters would have spun down by `now` (no state change).
+  bool SleepingAt(SimTime now) const override;
 
   // Current spin-down threshold (fixed, or the adaptive policy's latest).
   SimTime spin_down_threshold_us() const { return threshold_us_; }

@@ -3,46 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/util/check.h"
-#include "src/util/rng.h"
-
 namespace mobisim {
 
-namespace {
-
-SegmentManagerConfig MakeSegmentConfig(const DeviceSpec& spec,
-                                       const DeviceOptions& options,
-                                       const FtlPolicy* policy) {
-  SegmentManagerConfig seg;
-  seg.capacity_bytes = options.capacity_bytes;
-  seg.segment_bytes = spec.erase_segment_bytes;  // == one NAND erase block
-  seg.block_bytes = options.block_bytes;
-  seg.separate_cleaning_segment =
-      policy->RouteCleaningSeparately(options.separate_cleaning_segment);
-  seg.cleaning_policy = options.cleaning_policy;
-  seg.policy = policy;
-  return seg;
-}
-
-}  // namespace
-
 NandSsd::NandSsd(const DeviceSpec& spec, const DeviceOptions& options)
-    : spec_(spec),
-      options_(options),
-      meter_({{"read", spec.read_w},
-              {"write", spec.write_w},
-              {"erase", spec.erase_w},
-              {"clean", spec.write_w},
-              {"idle", spec.idle_w}}),
-      policy_(MakeFtlPolicy(options.ftl_policy, options.cleaning_policy)),
-      ftl_hooks_(policy_->kind() != FtlPolicyKind::kLogStructured),
-      segments_(MakeSegmentConfig(spec, options, policy_.get())),
-      injector_(options.fault) {
-  MOBISIM_CHECK(spec.kind == DeviceKind::kNandSsd);
-  ValidateDeviceSpec(spec, options);
-  options_.separate_cleaning_segment =
-      policy_->RouteCleaningSeparately(options.separate_cleaning_segment);
-
+    : LogFlashDevice(spec, options, DeviceKind::kNandSsd) {
   const NandTopology& nand = spec.nand;
   channels_ = nand.channels;
   units_ = nand.units();
@@ -51,52 +15,22 @@ NandSsd::NandSsd(const DeviceSpec& spec, const DeviceOptions& options)
   program_page_us_ = static_cast<SimTime>(std::llround(nand.program_page_us));
   const double channel_kbps = nand.channel_mbps * 1024.0;
   page_xfer_us_ = TransferTimeUs(page_bytes_, channel_kbps);
-  internal_read_kbps_ =
-      spec.internal_read_kbps > 0.0 ? spec.internal_read_kbps : channel_kbps;
-  // GC relocates one logical block via internal copyback: read the page(s)
-  // holding it and reprogram them, no bus crossing.
-  const SimTime pages_per_block = static_cast<SimTime>(PagesForBytes(options.block_bytes));
-  block_copy_us_ = pages_per_block * (read_page_us_ + program_page_us_);
-  erase_us_ = UsFromMs(nand.erase_block_ms);
-  // Reboot after power loss reads one summary page per erase block to
-  // rebuild the mapping.
-  mount_scan_us_ = static_cast<SimTime>(segments_.segment_count()) *
-                   (read_page_us_ + page_xfer_us_);
-
   unit_busy_.assign(units_, 0);
   channel_busy_.assign(channels_, 0);
 
-  const FaultConfig& fault = options.fault;
-  if (fault.wear_out) {
-    Rng wear_rng(fault.seed, fault_streams::kWearBudget);
-    const double mean = std::max(
-        1.0, static_cast<double>(spec.endurance_cycles) * fault.endurance_scale);
-    for (std::uint32_t s = 0; s < segments_.segment_count(); ++s) {
-      const double draw = wear_rng.Normal(mean, mean * fault.endurance_spread);
-      segments_.SetEnduranceBudget(
-          s, draw < 1.0 ? 1u : static_cast<std::uint32_t>(draw));
-    }
-  }
-  if (fault.bad_block_rate > 0.0) {
-    Rng bad_rng(fault.seed, fault_streams::kBadBlocks);
-    constexpr std::uint32_t kMinGoodSegments = 4;
-    std::uint32_t good = segments_.segment_count();
-    for (std::uint32_t s = 0; s < segments_.segment_count() && good > kMinGoodSegments;
-         ++s) {
-      if (bad_rng.Chance(fault.bad_block_rate)) {
-        segments_.RetireSegment(s);
-        --good;
-      }
-    }
-    if (segments_.bad_segment_count() > 0) {
-      capacity_events_.emplace_back(0, UsableFraction());
-    }
-  }
-}
-
-double NandSsd::UsableFraction() const {
-  return static_cast<double>(segments_.usable_blocks()) /
-         static_cast<double>(segments_.total_blocks());
+  InternalCosts costs;
+  // GC relocates one logical block via internal copyback: read the page(s)
+  // holding it and reprogram them, no bus crossing.
+  const SimTime pages_per_block = static_cast<SimTime>(PagesForBytes(options.block_bytes));
+  costs.block_copy_us = pages_per_block * (read_page_us_ + program_page_us_);
+  costs.erase_us = UsFromMs(nand.erase_block_ms);
+  // Reboot after power loss reads one summary page per erase block to
+  // rebuild the mapping.
+  costs.mount_scan_us = static_cast<SimTime>(segments().segment_count()) *
+                        (read_page_us_ + page_xfer_us_);
+  costs.internal_read_kbps =
+      spec.internal_read_kbps > 0.0 ? spec.internal_read_kbps : channel_kbps;
+  SetInternalCosts(costs);
 }
 
 std::uint64_t NandSsd::PagesForBytes(std::uint64_t bytes) const {
@@ -115,141 +49,6 @@ std::vector<std::uint32_t> NandSsd::StripeUnits(std::uint64_t pages) const {
   return out;
 }
 
-void NandSsd::Preload(std::uint64_t trace_blocks, double utilization, bool interleave) {
-  MOBISIM_CHECK(utilization > 0.0 && utilization < 1.0);
-  const std::uint64_t target_live =
-      static_cast<std::uint64_t>(utilization * static_cast<double>(segments_.usable_blocks()));
-  MOBISIM_CHECK(trace_blocks <= target_live);
-  const std::uint64_t slack_segments = options_.separate_cleaning_segment ? 3 : 2;
-  MOBISIM_CHECK(target_live + slack_segments * segments_.blocks_per_segment() <=
-                segments_.usable_blocks());
-  const std::uint64_t filler = target_live - trace_blocks;
-  if (ftl_hooks_) {
-    policy_->AttachMetaWindow(target_live, segments_.total_blocks() - target_live,
-                              options_.block_bytes);
-  }
-
-  if (!interleave || filler == 0 || trace_blocks == 0) {
-    segments_.Preload(0, trace_blocks);
-    segments_.Preload(trace_blocks, filler);
-    return;
-  }
-  std::uint64_t next_trace = 0;
-  std::uint64_t next_filler = trace_blocks;
-  std::int64_t error = 0;
-  const std::int64_t t = static_cast<std::int64_t>(trace_blocks);
-  const std::int64_t f = static_cast<std::int64_t>(filler);
-  while (next_trace < trace_blocks || next_filler < trace_blocks + filler) {
-    if (next_filler >= trace_blocks + filler ||
-        (next_trace < trace_blocks && error < t)) {
-      segments_.Preload(next_trace++, 1);
-      error += f;
-    } else {
-      segments_.Preload(next_filler++, 1);
-      error -= t;
-    }
-  }
-}
-
-std::uint64_t NandSsd::AvailableSlots() const {
-  const std::uint64_t free = segments_.free_slots();
-  return free > job_.reserved_slots ? free - job_.reserved_slots : 0;
-}
-
-bool NandSsd::CanAcceptHostBlock() const {
-  if (AvailableSlots() == 0) {
-    return false;
-  }
-  if (segments_.active_free_slots() > 0) {
-    return true;
-  }
-  if (segments_.erased_segment_count() >= 2) {
-    return true;
-  }
-  return segments_.erased_segment_count() >= 1 && !job_.active &&
-         segments_.PickVictim() == SegmentManager::kNoSegment;
-}
-
-bool NandSsd::MaybeStartCleanJob() {
-  if (job_.active) {
-    return true;
-  }
-  if (segments_.erased_segment_count() > 1) {
-    return false;
-  }
-  const std::uint32_t victim = segments_.PickVictim();
-  if (victim == SegmentManager::kNoSegment) {
-    return false;
-  }
-  const std::uint32_t live = segments_.VictimLiveBlocks(victim);
-  if (segments_.free_slots() < live) {
-    return false;
-  }
-  if (segments_.erased_segment_count() == 0 && segments_.cleaning_free_slots() < live) {
-    return false;
-  }
-  job_.active = true;
-  job_.victim = victim;
-  job_.copy_remaining_us = static_cast<SimTime>(live) * block_copy_us_;
-  job_.erase_remaining_us = erase_us_;
-  job_.reserved_slots = live;
-  ++counters_.clean_jobs;
-  return true;
-}
-
-void NandSsd::CompleteCleanJob() {
-  MOBISIM_DCHECK(job_.active);
-  const std::uint32_t victim = job_.victim;
-  const std::uint32_t copied = segments_.CleanSegment(victim);
-  counters_.blocks_copied += copied;
-  ++counters_.segment_erases;
-  job_ = CleanJob{};
-  if (segments_.segment_is_bad(victim)) {
-    counters_.remapped_blocks += copied;
-    capacity_events_.emplace_back(accounted_until_, UsableFraction());
-  }
-}
-
-SimTime NandSsd::FinishCleanJobNow() {
-  MOBISIM_DCHECK(job_.active);
-  const SimTime copy = job_.copy_remaining_us;
-  const SimTime erase = job_.erase_remaining_us;
-  meter_.Accumulate(kModeClean, copy);
-  meter_.Accumulate(kModeErase, erase);
-  CompleteCleanJob();
-  return copy + erase;
-}
-
-void NandSsd::AccountUntil(SimTime t) {
-  if (t <= accounted_until_) {
-    return;
-  }
-  SimTime available = t - accounted_until_;
-  while (available > 0 && options_.background_cleaning && MaybeStartCleanJob()) {
-    if (job_.copy_remaining_us > 0) {
-      const SimTime spent = std::min(available, job_.copy_remaining_us);
-      meter_.Accumulate(kModeClean, spent);
-      job_.copy_remaining_us -= spent;
-      available -= spent;
-    }
-    if (available > 0 && job_.copy_remaining_us == 0 && job_.erase_remaining_us > 0) {
-      const SimTime spent = std::min(available, job_.erase_remaining_us);
-      meter_.Accumulate(kModeErase, spent);
-      job_.erase_remaining_us -= spent;
-      available -= spent;
-    }
-    if (job_.copy_remaining_us == 0 && job_.erase_remaining_us == 0) {
-      CompleteCleanJob();
-    } else {
-      break;
-    }
-  }
-  meter_.Accumulate(kModeIdle, available);
-  accounted_until_ = t;
-}
-
-void NandSsd::AdvanceTo(SimTime now) { AccountUntil(now); }
-
 SimTime NandSsd::IssuePages(SimTime issue, std::uint64_t pages, bool is_read) {
   SimTime done = issue;
   SimTime bus_release = issue;
@@ -265,7 +64,7 @@ SimTime NandSsd::IssuePages(SimTime issue, std::uint64_t pages, bool is_read) {
       const SimTime bus_start = std::max(cell_end, channel_busy_[c]);
       end = bus_start + page_xfer_us_;
       channel_busy_[c] = end;
-      meter_.Accumulate(kModeRead, read_page_us_ + page_xfer_us_);
+      Charge(kModeRead, read_page_us_ + page_xfer_us_);
     } else {
       // Payload ships over the channel bus, then the plane programs it.
       const SimTime bus_start = std::max(issue, channel_busy_[c]);
@@ -275,7 +74,7 @@ SimTime NandSsd::IssuePages(SimTime issue, std::uint64_t pages, bool is_read) {
       const SimTime prog_start = std::max(bus_end, unit_busy_[u]);
       end = prog_start + program_page_us_;
       unit_busy_[u] = end;
-      meter_.Accumulate(kModeWrite, program_page_us_ + page_xfer_us_);
+      Charge(kModeWrite, program_page_us_ + page_xfer_us_);
     }
     done = std::max(done, end);
   }
@@ -287,205 +86,39 @@ SimTime NandSsd::IssuePages(SimTime issue, std::uint64_t pages, bool is_read) {
   return done;
 }
 
-SimTime NandSsd::ServiceRead(SimTime now, const BlockRecord& rec) {
-  AccountUntil(now);
-  const SimTime cmd_start = std::max(now, cmd_busy_);
-  const std::uint64_t bytes =
-      static_cast<std::uint64_t>(rec.block_count) * options_.block_bytes;
-  const double overhead_ms =
-      rec.file_id == last_file_ ? spec_.sequential_overhead_ms : spec_.read_overhead_ms;
-  const SimTime overhead_us = UsFromMs(overhead_ms);
-  meter_.Accumulate(kModeRead, overhead_us);
-  const SimTime issue = cmd_start + overhead_us;
-  cmd_busy_ = issue;
-  SimTime done = IssuePages(issue, PagesForBytes(bytes), /*is_read=*/true);
-  if (ftl_hooks_) {
-    std::uint64_t extra = 0;
-    for (std::uint32_t i = 0; i < rec.block_count; ++i) {
-      extra += policy_->ExtraReadBytes(rec.lba + i);
-    }
-    if (extra > 0) {
-      const SimTime merge_us = TransferTimeUs(extra, internal_read_kbps_);
-      meter_.Accumulate(kModeRead, merge_us);
-      done += merge_us;
-    }
-  }
-  busy_until_ = std::max(busy_until_, done);
-  accounted_until_ = std::max(accounted_until_, busy_until_);
-  last_file_ = rec.file_id;
-  ++counters_.reads;
-  counters_.bytes_read += bytes;
-  return done - now;
-}
-
-SimTime NandSsd::ServiceWrite(SimTime now, const BlockRecord& rec) {
-  AccountUntil(now);
-  SimTime stall = 0;
-  const std::uint64_t bytes =
-      static_cast<std::uint64_t>(rec.block_count) * options_.block_bytes;
-  std::uint64_t programmed = bytes;
-  std::uint64_t merge_reads = 0;
-
-  if (!ftl_hooks_) {
-    for (std::uint32_t i = 0; i < rec.block_count; ++i) {
-      if (options_.background_cleaning) {
-        MaybeStartCleanJob();
-      }
-      while (!CanAcceptHostBlock()) {
-        const bool job_ready = MaybeStartCleanJob();
-        MOBISIM_CHECK(job_ready && "nand ssd wedged: no free space and nothing cleanable");
-        stall += FinishCleanJobNow();
-      }
-      segments_.WriteBlock(rec.lba + i);
-    }
-  } else {
-    programmed = 0;
-    for (std::uint32_t i = 0; i < rec.block_count; ++i) {
-      const std::uint64_t lba = rec.lba + i;
-      const HostWritePlan plan =
-          policy_->PlanHostWrite(lba, segments_.IsMapped(lba), options_.block_bytes);
-      programmed += plan.programmed_bytes;
-      merge_reads += plan.merge_read_bytes;
-      for (std::uint32_t k = 0; k < plan.append_count; ++k) {
-        if (options_.background_cleaning) {
-          MaybeStartCleanJob();
-        }
-        while (!CanAcceptHostBlock()) {
-          const bool job_ready = MaybeStartCleanJob();
-          MOBISIM_CHECK(job_ready &&
-                        "nand ssd wedged: no free space and nothing cleanable");
-          stall += FinishCleanJobNow();
-        }
-        segments_.WriteBlock(plan.appends[k]);
-      }
-    }
-  }
-  if (!options_.background_cleaning) {
-    while (segments_.erased_segment_count() <= 1 && MaybeStartCleanJob()) {
-      stall += FinishCleanJobNow();
-    }
-  }
-  if (stall > 0) {
-    ++counters_.write_stalls;
-    counters_.stall_time_us += stall;
-  }
-
-  const double overhead_ms =
-      rec.file_id == last_file_ ? spec_.sequential_overhead_ms : spec_.write_overhead_ms;
-  const SimTime overhead_us = UsFromMs(overhead_ms);
-  meter_.Accumulate(kModeWrite, overhead_us);
-  // A synchronous cleaning stall blocks the whole device before the command
-  // can even issue.
-  const SimTime issue = std::max(now, cmd_busy_) + stall + overhead_us;
-  cmd_busy_ = issue;
-  SimTime done = IssuePages(issue, PagesForBytes(programmed), /*is_read=*/false);
-  if (merge_reads > 0) {
-    const SimTime merge_us = TransferTimeUs(merge_reads, internal_read_kbps_);
-    meter_.Accumulate(kModeRead, merge_us);
-    done += merge_us;
-  }
-  busy_until_ = std::max(busy_until_, done);
-  accounted_until_ = std::max(accounted_until_, busy_until_);
-  last_file_ = rec.file_id;
-  ++counters_.writes;
-  counters_.bytes_written += bytes;
-  return done - now;
-}
-
-SimTime NandSsd::FailedWrite(SimTime now, const BlockRecord& rec) {
-  // The attempt ships its payload and programs pages but commits no mapping
-  // update: no slots consumed, no cleaning, no stall; a retry replays the
-  // identical update.
-  AccountUntil(now);
-  const std::uint64_t bytes =
-      static_cast<std::uint64_t>(rec.block_count) * options_.block_bytes;
-  const double overhead_ms =
-      rec.file_id == last_file_ ? spec_.sequential_overhead_ms : spec_.write_overhead_ms;
-  const SimTime overhead_us = UsFromMs(overhead_ms);
-  meter_.Accumulate(kModeWrite, overhead_us);
+SimTime NandSsd::TimeRead(SimTime now, SimTime overhead_us, std::uint64_t bytes,
+                          std::uint64_t merge_bytes) {
+  Charge(kModeRead, overhead_us);
   const SimTime issue = std::max(now, cmd_busy_) + overhead_us;
   cmd_busy_ = issue;
-  const SimTime done = IssuePages(issue, PagesForBytes(bytes), /*is_read=*/false);
-  busy_until_ = std::max(busy_until_, done);
-  accounted_until_ = std::max(accounted_until_, busy_until_);
-  last_file_ = rec.file_id;
-  ++counters_.writes;
-  counters_.bytes_written += bytes;
-  return done - now;
-}
-
-IoResult NandSsd::ReadOp(SimTime now, const BlockRecord& rec) {
-  // Reads mutate no logical state, so the error draw can follow the service.
-  const SimTime t = ServiceRead(now, rec);
-  if (injector_.NextError()) {
-    ++counters_.transient_errors;
-    return {t, IoStatus::kTransientError};
+  SimTime done = IssuePages(issue, PagesForBytes(bytes), /*is_read=*/true);
+  if (merge_bytes > 0) {
+    const SimTime merge_us = TransferTimeUs(merge_bytes, internal_read_kbps());
+    Charge(kModeRead, merge_us);
+    done += merge_us;
   }
-  return {t, IoStatus::kOk};
+  return done;
 }
 
-IoResult NandSsd::WriteOp(SimTime now, const BlockRecord& rec) {
-  // Writes mutate the log, so the error is drawn *before* committing.
-  if (injector_.NextError()) {
-    ++counters_.transient_errors;
-    return {FailedWrite(now, rec), IoStatus::kTransientError};
-  }
-  return {ServiceWrite(now, rec), IoStatus::kOk};
+SimTime NandSsd::TimeWrite(SimTime now, SimTime stall_us, SimTime overhead_us,
+                           std::uint64_t bytes) {
+  Charge(kModeWrite, overhead_us);
+  // A synchronous cleaning stall blocks the whole device before the command
+  // can even issue.
+  const SimTime issue = std::max(now, cmd_busy_) + stall_us + overhead_us;
+  cmd_busy_ = issue;
+  return IssuePages(issue, PagesForBytes(bytes), /*is_read=*/false);
 }
 
-SimTime NandSsd::PowerLoss(SimTime now) {
-  AccountUntil(now);
+void NandSsd::AbortQueues(SimTime now, SimTime ready) {
   // In-flight cell operations and transfers are abandoned.
-  busy_until_ = std::min(busy_until_, now);
-  cmd_busy_ = std::min(cmd_busy_, now);
   for (SimTime& t : unit_busy_) {
     t = std::min(t, now);
   }
   for (SimTime& t : channel_busy_) {
     t = std::min(t, now);
   }
-  SimTime recovery = mount_scan_us_;
-  meter_.Accumulate(kModeRead, mount_scan_us_);
-  if (job_.active) {
-    if (job_.copy_remaining_us == 0) {
-      recovery += erase_us_;
-      meter_.Accumulate(kModeErase, erase_us_);
-      CompleteCleanJob();
-    } else {
-      job_ = CleanJob{};
-    }
-  }
-  busy_until_ = now + recovery;
-  cmd_busy_ = busy_until_;
-  accounted_until_ = std::max(accounted_until_, busy_until_);
-  last_file_ = ~std::uint32_t{0};
-  return recovery;
-}
-
-void NandSsd::Trim(SimTime now, const BlockRecord& rec) {
-  AccountUntil(now);
-  for (std::uint32_t i = 0; i < rec.block_count; ++i) {
-    if (ftl_hooks_) {
-      policy_->OnTrim(rec.lba + i);
-    }
-    segments_.TrimBlock(rec.lba + i);
-  }
-}
-
-void NandSsd::Finish(SimTime end) { AccountUntil(std::max(end, busy_until_)); }
-
-const DeviceCounters& NandSsd::counters() const {
-  counters_.segment_erase_stats = segments_.EraseCountStats();
-  counters_.bad_segments = segments_.bad_segment_count();
-  counters_.usable_blocks = segments_.usable_blocks();
-  counters_.physical_blocks = segments_.total_blocks();
-  const FtlCounters& ftl = policy_->counters();
-  counters_.diff_writes = ftl.diff_writes;
-  counters_.diff_merges = ftl.diff_merges;
-  counters_.diff_merge_reads = ftl.diff_merge_reads;
-  counters_.remap_table_hits = ftl.remap_table_hits;
-  counters_.remap_table_wraps = ftl.remap_table_wraps;
-  return counters_;
+  cmd_busy_ = ready;
 }
 
 }  // namespace mobisim

@@ -13,53 +13,23 @@
 // throughput scaling with channel count (and its saturation, uFLIP's
 // parallelism pattern) comes from.
 //
-// Mapping and cleaning reuse the flash-card machinery unchanged: a
-// SegmentManager whose segment is the NAND erase block, the FtlPolicy hook
-// suite, and the background/on-demand CleanJob discipline.  The random-write
-// penalty and high-utilization stalls therefore emerge from the same
-// mechanism the paper models, just with SSD-class constants.
+// Mapping and cleaning are LogFlashDevice's, over a SegmentManager whose
+// segment is the NAND erase block; this class adds only the page-level
+// timing.  The random-write penalty and high-utilization stalls therefore
+// emerge from the same mechanism the paper models, just with SSD-class
+// constants.
 #ifndef MOBISIM_SRC_DEVICE_NAND_SSD_H_
 #define MOBISIM_SRC_DEVICE_NAND_SSD_H_
 
-#include <memory>
-#include <utility>
 #include <vector>
 
-#include "src/device/storage_device.h"
-#include "src/flash/ftl_policy.h"
-#include "src/flash/segment_manager.h"
+#include "src/device/log_flash_device.h"
 
 namespace mobisim {
 
-class NandSsd : public StorageDevice {
+class NandSsd : public LogFlashDevice {
  public:
   NandSsd(const DeviceSpec& spec, const DeviceOptions& options);
-
-  // Same preload contract as FlashCard: fills the device to `utilization`
-  // of usable capacity with the first `trace_blocks` LBAs plus filler,
-  // interleaved by default so cleaned segments carry cold data.
-  void Preload(std::uint64_t trace_blocks, double utilization, bool interleave = true);
-
-  void AdvanceTo(SimTime now) override;
-  IoResult ReadOp(SimTime now, const BlockRecord& rec) override;
-  IoResult WriteOp(SimTime now, const BlockRecord& rec) override;
-  SimTime PowerLoss(SimTime now) override;
-  void Trim(SimTime now, const BlockRecord& rec) override;
-  void Finish(SimTime end) override;
-
-  const EnergyMeter& energy() const override { return meter_; }
-  const DeviceCounters& counters() const override;
-  const DeviceSpec& spec() const override { return spec_; }
-  SimTime busy_until() const override { return busy_until_; }
-
-  const SegmentManager& segments() const { return segments_; }
-  const FtlPolicy& ftl_policy() const { return *policy_; }
-
-  // Usable-capacity timeline, as on FlashCard: one (time, usable fraction)
-  // entry per capacity-losing event.  Empty on a healthy device.
-  const std::vector<std::pair<SimTime, double>>& capacity_events() const {
-    return capacity_events_;
-  }
 
   // -- Striping arithmetic (exposed for unit tests) -------------------------
   std::uint32_t units() const { return units_; }
@@ -73,42 +43,15 @@ class NandSsd : public StorageDevice {
   std::vector<std::uint32_t> StripeUnits(std::uint64_t pages) const;
 
  private:
-  enum Mode : std::size_t { kModeRead = 0, kModeWrite, kModeErase, kModeClean, kModeIdle };
-
-  struct CleanJob {
-    bool active = false;
-    std::uint32_t victim = SegmentManager::kNoSegment;
-    SimTime copy_remaining_us = 0;
-    SimTime erase_remaining_us = 0;
-    std::uint32_t reserved_slots = 0;
-  };
-
-  std::uint64_t AvailableSlots() const;
-  bool CanAcceptHostBlock() const;
-  bool MaybeStartCleanJob();
-  SimTime FinishCleanJobNow();
-  void CompleteCleanJob();
-  void AccountUntil(SimTime t);
+  SimTime TimeRead(SimTime now, SimTime overhead_us, std::uint64_t bytes,
+                   std::uint64_t merge_bytes) override;
+  SimTime TimeWrite(SimTime now, SimTime stall_us, SimTime overhead_us,
+                    std::uint64_t bytes) override;
+  void AbortQueues(SimTime now, SimTime ready) override;
   // Issues `pages` page operations starting no earlier than `issue`, striped
   // from the cursor; returns the completion time of the last page and
   // advances the cursor, unit/channel queues, and the energy meter.
   SimTime IssuePages(SimTime issue, std::uint64_t pages, bool is_read);
-  SimTime ServiceRead(SimTime now, const BlockRecord& rec);
-  SimTime ServiceWrite(SimTime now, const BlockRecord& rec);
-  SimTime FailedWrite(SimTime now, const BlockRecord& rec);
-  double UsableFraction() const;
-
-  DeviceSpec spec_;
-  DeviceOptions options_;
-  EnergyMeter meter_;
-  mutable DeviceCounters counters_;
-  // Declared before segments_: the manager scores victims through the
-  // policy, so the policy must be constructed first and outlive it.
-  std::unique_ptr<FtlPolicy> policy_;
-  bool ftl_hooks_ = false;
-  SegmentManager segments_;
-  CleanJob job_;
-  FaultInjector injector_;
 
   // Topology, fixed at construction.
   std::uint32_t channels_ = 1;
@@ -117,20 +60,12 @@ class NandSsd : public StorageDevice {
   SimTime read_page_us_ = 0;     // tR
   SimTime program_page_us_ = 0;  // tPROG
   SimTime page_xfer_us_ = 0;     // one page over the channel bus
-  SimTime block_copy_us_ = 0;    // internal copy of one logical block (GC)
-  SimTime erase_us_ = 0;         // tBERS, one erase block
-  SimTime mount_scan_us_ = 0;    // reboot: one summary page per erase block
-  double internal_read_kbps_ = 0.0;  // rate for policy merge reads
 
-  // Time state.
-  SimTime accounted_until_ = 0;
-  SimTime busy_until_ = 0;   // last page completion across all queues
+  // Queue state.
   SimTime cmd_busy_ = 0;     // controller/command issue serialization
   std::vector<SimTime> unit_busy_;     // per-plane cell-operation queues
   std::vector<SimTime> channel_busy_;  // per-channel bus queues
   std::uint32_t stripe_cursor_ = 0;
-  std::uint32_t last_file_ = ~std::uint32_t{0};
-  std::vector<std::pair<SimTime, double>> capacity_events_;
 };
 
 }  // namespace mobisim

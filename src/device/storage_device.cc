@@ -10,6 +10,11 @@
 
 namespace mobisim {
 
+const CapacityTimeline& StorageDevice::capacity_events() const {
+  static const CapacityTimeline kNoEvents;
+  return kNoEvents;
+}
+
 // A violated bound here names the offending field so a sweep's _error row
 // points at the spec key to fix, not at arithmetic fallout three layers down.
 #define MOBISIM_SPEC_FIELD(cond, field)                                       \

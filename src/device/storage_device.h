@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/device/device_spec.h"
 #include "src/fault/fault.h"
@@ -54,9 +56,24 @@ struct DeviceCounters {
   RunningStats segment_erase_stats;
 };
 
+// (time, usable fraction of physical capacity) entries, one per
+// capacity-losing event.
+using CapacityTimeline = std::vector<std::pair<SimTime, double>>;
+
 class StorageDevice {
  public:
   virtual ~StorageDevice() = default;
+
+  // Fills the device before the first I/O so the workload's `trace_blocks`
+  // LBAs are live and the device holds `utilization` of its capacity;
+  // `interleave` spreads the filler among the workload blocks.  Devices
+  // whose performance does not depend on what is stored ignore it.
+  virtual void Preload(std::uint64_t trace_blocks, double utilization,
+                       bool interleave = true) {
+    (void)trace_blocks;
+    (void)utilization;
+    (void)interleave;
+  }
 
   // Progresses background activity (spin-down timers, asynchronous erasure)
   // and energy accounting up to `now` without performing I/O.
@@ -97,6 +114,17 @@ class StorageDevice {
   virtual const DeviceCounters& counters() const = 0;
   virtual const DeviceSpec& spec() const = 0;
   virtual SimTime busy_until() const = 0;
+
+  // Usable-capacity timeline; empty for devices that never lose capacity.
+  virtual const CapacityTimeline& capacity_events() const;
+
+  // True if an I/O at `now` would first have to wake the device (a spun-down
+  // disk).  Queries state without changing it; the storage system drains
+  // its SRAM write buffer eagerly only while the device is awake.
+  virtual bool SleepingAt(SimTime now) const {
+    (void)now;
+    return false;
+  }
 };
 
 // Disk spin-down policies.  The paper fixes the threshold at 5 s; the
@@ -133,6 +161,10 @@ struct DeviceOptions {
   // Route cleaning copies into their own segment (eNVy-style hot/cold
   // separation) instead of mixing them with fresh writes.
   bool separate_cleaning_segment = false;
+  // Flash disk: decoupled erasure (section 5.3), honoured only when the spec
+  // supports it (pre_erased_write_kbps > 0, i.e. the SDP5A).  Turning it off
+  // reproduces the paper's synchronous baseline.
+  bool flash_async_erasure = true;
   // Fault injection knobs (transient errors, wear-out budgets, factory bad
   // blocks).  Defaults model healthy hardware and cost nothing.
   FaultConfig fault;

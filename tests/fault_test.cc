@@ -147,34 +147,42 @@ TEST(PowerLossTest, RecoveryIsIdempotentAcrossRuns) {
 // remapped, and usable capacity degrades monotonically over time.
 
 TEST(WearOutTest, SegmentsRetireAndCapacityDegrades) {
-  SimConfig config = MakePaperConfig(IntelCardDatasheet(), 512 * 1024);
-  config.flash_utilization = 0.9;
-  config.fault.wear_out = true;
-  config.fault.endurance_scale = 0.0001;
-  config.fault.endurance_spread = 0.3;
-  const SimResult result = RunNamedWorkload("synth", config, 0.2);
-  EXPECT_GT(result.bad_segments, 0u);
-  EXPECT_GT(result.remapped_blocks, 0u);
-  EXPECT_LT(result.usable_capacity_fraction, 1.0);
-  ASSERT_FALSE(result.capacity_timeline.empty());
-  double last_fraction = 1.0;
-  for (const auto& [at_sec, fraction] : result.capacity_timeline) {
-    EXPECT_GE(at_sec, 0.0);
-    EXPECT_LT(fraction, last_fraction);
-    last_fraction = fraction;
+  for (const DeviceSpec& device : {IntelCardDatasheet(), NandSsd4ch()}) {
+    SCOPED_TRACE(device.name);
+    SimConfig config = MakePaperConfig(device, 512 * 1024);
+    config.flash_utilization = 0.9;
+    config.fault.wear_out = true;
+    // A mean budget of 10 erase cycles on every part; a 1-cycle budget would
+    // wear the whole device out and wedge it.
+    config.fault.endurance_scale = 10.0 / static_cast<double>(device.endurance_cycles);
+    config.fault.endurance_spread = 0.3;
+    const SimResult result = RunNamedWorkload("synth", config, 0.2);
+    EXPECT_GT(result.bad_segments, 0u);
+    EXPECT_GT(result.remapped_blocks, 0u);
+    EXPECT_LT(result.usable_capacity_fraction, 1.0);
+    ASSERT_FALSE(result.capacity_timeline.empty());
+    double last_fraction = 1.0;
+    for (const auto& [at_sec, fraction] : result.capacity_timeline) {
+      EXPECT_GE(at_sec, 0.0);
+      EXPECT_LT(fraction, last_fraction);
+      last_fraction = fraction;
+    }
+    EXPECT_DOUBLE_EQ(last_fraction, result.usable_capacity_fraction);
   }
-  EXPECT_DOUBLE_EQ(last_fraction, result.usable_capacity_fraction);
 }
 
 TEST(WearOutTest, FactoryBadBlocksShrinkCapacityUpFront) {
-  SimConfig config = MakePaperConfig(IntelCardDatasheet(), 512 * 1024);
-  config.flash_utilization = 0.5;
-  config.fault.bad_block_rate = 0.05;
-  const SimResult result = RunNamedWorkload("synth", config, 0.05);
-  EXPECT_GT(result.bad_segments, 0u);
-  EXPECT_LT(result.usable_capacity_fraction, 1.0);
-  ASSERT_FALSE(result.capacity_timeline.empty());
-  EXPECT_DOUBLE_EQ(result.capacity_timeline.front().first, 0.0);
+  for (const DeviceSpec& device : {IntelCardDatasheet(), NandSsd4ch()}) {
+    SCOPED_TRACE(device.name);
+    SimConfig config = MakePaperConfig(device, 512 * 1024);
+    config.flash_utilization = 0.5;
+    config.fault.bad_block_rate = 0.05;
+    const SimResult result = RunNamedWorkload("synth", config, 0.05);
+    EXPECT_GT(result.bad_segments, 0u);
+    EXPECT_LT(result.usable_capacity_fraction, 1.0);
+    ASSERT_FALSE(result.capacity_timeline.empty());
+    EXPECT_DOUBLE_EQ(result.capacity_timeline.front().first, 0.0);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -114,8 +114,10 @@ TEST(FlashDiskTest, BackgroundErasureReplenishesPool) {
 }
 
 TEST(FlashDiskTest, SyncModeOnDecoupledPartUsesCoupledRate) {
-  FlashDisk disk(TestAsyncFlashDisk(), TestOptions());
-  disk.set_asynchronous_erasure(false);
+  DeviceOptions options = TestOptions();
+  options.flash_async_erasure = false;
+  FlashDisk disk(TestAsyncFlashDisk(), options);
+  ASSERT_FALSE(disk.asynchronous_erasure());
   const double coupled_kbps = 1.0 / (1.0 / 128.0 + 1.0 / 512.0);
   const SimTime response = disk.Write(0, Rec(0, OpType::kWrite, 0, 1));
   EXPECT_EQ(response, UsFromMs(1) + TransferTimeUs(1024, coupled_kbps));

@@ -111,8 +111,8 @@ TEST(GeometricDiskTest, SequentialRunFasterThanScattered) {
 TEST(GeometricDiskTest, SpinDownAndWake) {
   GeometricDisk disk(Cu140Datasheet(), SmallGeometry(), TestOptions());
   disk.Read(0, Rec(0, 0, 1));
-  EXPECT_TRUE(disk.IsSpinningAt(4 * kUsPerSec));
-  EXPECT_FALSE(disk.IsSpinningAt(6 * kUsPerSec));
+  EXPECT_FALSE(disk.SleepingAt(4 * kUsPerSec));
+  EXPECT_TRUE(disk.SleepingAt(6 * kUsPerSec));
   const SimTime t2 = 20 * kUsPerSec;
   const SimTime response = disk.Read(t2, Rec(t2, 0, 1));
   EXPECT_GE(response, UsFromMs(Cu140Datasheet().spinup_ms));

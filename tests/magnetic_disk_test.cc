@@ -70,8 +70,8 @@ TEST(MagneticDiskTest, SameFileSkipsSeek) {
 TEST(MagneticDiskTest, SpinsDownAfterThresholdAndPaysSpinup) {
   MagneticDisk disk(TestDisk(), TestOptions());
   disk.Read(0, Rec(0, 0, 1, 1));
-  EXPECT_TRUE(disk.IsSpinningAt(4 * kUsPerSec));
-  EXPECT_FALSE(disk.IsSpinningAt(6 * kUsPerSec));
+  EXPECT_FALSE(disk.SleepingAt(4 * kUsPerSec));
+  EXPECT_TRUE(disk.SleepingAt(6 * kUsPerSec));
   const SimTime t2 = 10 * kUsPerSec;
   const SimTime response = disk.Read(t2, Rec(t2, 0, 1, 1));
   // Spin-up + random overhead (head position lost) + transfer.
@@ -170,7 +170,7 @@ TEST(MagneticDiskTest, ZeroThresholdSleepsImmediately) {
   options.spin_down_after_us = 0;
   MagneticDisk disk(TestDisk(), options);
   disk.Read(0, Rec(0, 0, 1, 1));
-  EXPECT_FALSE(disk.IsSpinningAt(disk.busy_until() + 1));
+  EXPECT_TRUE(disk.SleepingAt(disk.busy_until() + 1));
   const SimTime t2 = kUsPerSec;
   const SimTime response = disk.Read(t2, Rec(t2, 0, 1, 1));
   EXPECT_EQ(response, UsFromMs(1000) + UsFromMs(10) + kBlockUs);

@@ -12,7 +12,6 @@
 #include "src/core/config_text.h"
 #include "src/device/device_catalog.h"
 #include "src/device/flash_card.h"
-#include "src/device/flash_disk.h"
 #include "src/device/nand_ssd.h"
 #include "src/device/uflip.h"
 #include "src/util/check.h"
@@ -278,13 +277,7 @@ std::unique_ptr<StorageDevice> MakeAnyDevice(const DeviceSpec& spec) {
   options.block_bytes = 1024;
   options.capacity_bytes = 8 * 1024 * 1024;
   std::unique_ptr<StorageDevice> device = CreateDevice(spec, options);
-  if (auto* card = dynamic_cast<FlashCard*>(device.get())) {
-    card->Preload(1024, 0.7);
-  } else if (auto* ssd = dynamic_cast<NandSsd*>(device.get())) {
-    ssd->Preload(1024, 0.7);
-  } else if (auto* disk = dynamic_cast<FlashDisk*>(device.get())) {
-    disk->Preload(1024);
-  }
+  device->Preload(1024, 0.7, true);
   return device;
 }
 
