@@ -1,4 +1,4 @@
-// Fault-tolerant local sweep service: a dispatcher, a worker pool, and a
+// Fault-tolerant sweep service: a dispatcher, a worker pool, and a
 // persistent spool directory that survives any of them dying.
 //
 //   mobisim_sweepd serve  --spool DIR [--spec FILE] [key=value ...]
@@ -7,7 +7,6 @@
 //                         [--http-bind-any]
 //                         [common flags: --jobs --seed --replicas --jsonl
 //                          --csv --db/--name/--sha --trace-cache --quiet]
-//   mobisim_sweepd work   --spool DIR [--jobs N] [--trace-cache DIR] [--quiet]
 //   mobisim_sweepd work   --connect HOST:PORT [--jobs N] [--chunk-rows N]
 //                         [--heartbeat-sec S] [--poll-sec S] [--retries N]
 //                         [--net-fault SPEC] [--worker-name NAME]
@@ -15,22 +14,21 @@
 //   mobisim_sweepd merge  DIR [--jsonl F] [--csv F] [--db DIR --name N] [--quiet]
 //
 // `serve` creates the spool from the spec (or resumes an existing one: the
-// spool is the durable state, delete it to start over), spawns `--workers`
-// local worker processes, enforces leases, retries dead shards and poisoned
-// `_error` points up to `--retry-budget`, and serves GET /status and
-// GET /results on `--http` (0 = ephemeral; the port lands in
-// <spool>/http.port).  When every shard settles it merges the shard outputs
-// into <spool>/merged.jsonl, the requested sinks, and (with --db) a bench_db
-// store — idempotently, keyed by spec fingerprint, so re-serving or
-// re-merging the same spool never duplicates rows.
+// spool is the durable state, delete it to start over), serves the HTTP
+// lease protocol plus GET /status and GET /results on `--http` (default:
+// an ephemeral port; it lands in <spool>/http.port), spawns `--workers`
+// local `work --connect` children against it over loopback, enforces
+// leases, and retries dead shards and poisoned `_error` points up to
+// `--retry-budget`.  When every shard settles it merges the shard outputs
+// into <spool>/merged.jsonl, the requested sinks, and (with --db) a
+// bench_db store — idempotently, keyed by spec fingerprint, so re-serving
+// or re-merging the same spool never duplicates rows.
 //
-// `work` is the subordinate mode `serve` spawns; it also works standalone
-// (point any number of shells at the same spool for extra throughput).
-// With `--connect` it needs no shared filesystem at all: it speaks the
-// dispatcher's HTTP lease protocol (POST /lease, /heartbeat, /results,
-// /done) with connect/read deadlines, bounded exponential backoff with
-// jitter, and idempotent chunked uploads, so machines anywhere the
-// dispatcher's port is reachable can serve the sweep.  `--net-fault
+// `work` is the one worker: the mode `serve` spawns, and what any machine
+// that can reach the dispatcher's port runs to add throughput.  It needs no
+// shared filesystem: it speaks the lease protocol (POST /lease, /heartbeat,
+// /results, /done) with connect/read deadlines, bounded exponential backoff
+// with jitter, and idempotent chunked uploads.  `--net-fault
 // seed=7,drop=0.2,dup=0.2,delay=0.5,delay-ms=40` injects deterministic
 // request drops/duplicates/delays for partition testing.  The dispatcher
 // binds loopback unless `serve --http-bind-any` opts into the network.
@@ -41,7 +39,7 @@
 //
 // Exit codes: serve 0 = clean complete, 2 = finished with failed shards or
 // surviving `_error` points; work 0 = clean, 3 = finished but poisoned,
-// 4 = (--connect only) dispatcher unreachable past the retry budget.
+// 4 = dispatcher unreachable past the retry budget.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -75,7 +73,7 @@ int Usage() {
       "                             [--shards N] [--workers N] [--retry-budget N]\n"
       "                             [--lease-sec S] [--poll-sec S] [--http PORT]\n"
       "                             [--http-bind-any]\n"
-      "       mobisim_sweepd work   --spool DIR | --connect HOST:PORT\n"
+      "       mobisim_sweepd work   --connect HOST:PORT\n"
       "                             [--chunk-rows N] [--heartbeat-sec S]\n"
       "                             [--poll-sec S] [--retries N]\n"
       "                             [--net-fault seed=S,drop=R,dup=R,delay=R,delay-ms=M]\n"
@@ -184,7 +182,7 @@ int RunServe(std::vector<std::string> args, const CliOptions& common) {
     } else if (args[i] == "--http") {
       const auto v = count("--http");
       if (!v || *v > 65535) return Usage();
-      options.http_port = static_cast<int>(*v);
+      options.http_port = static_cast<std::uint16_t>(*v);
     } else if (args[i] == "--http-bind-any") {
       options.http_bind_any = true;
     } else if (args[i] == "--throttle-ms") {
@@ -204,10 +202,6 @@ int RunServe(std::vector<std::string> args, const CliOptions& common) {
   }
   if (spool_root.empty()) {
     std::fprintf(stderr, "error: serve requires --spool DIR\n");
-    return Usage();
-  }
-  if (options.http_bind_any && options.http_port < 0) {
-    std::fprintf(stderr, "error: --http-bind-any requires --http PORT\n");
     return Usage();
   }
   if (options.workers == 0 && !workers_set) {
@@ -318,14 +312,12 @@ int RunServe(std::vector<std::string> args, const CliOptions& common) {
 // --- work ----------------------------------------------------------------
 
 int RunWork(std::vector<std::string> args, const CliOptions& common) {
-  WorkerOptions options;
-  RemoteWorkerOptions remote;
+  RemoteWorkerOptions options;
   std::string connect;
   options.jobs = common.jobs == 0 ? 1 : common.jobs;
   options.trace_cache_dir = common.trace_cache_dir;
   if (!common.quiet) {
     options.log = &std::cerr;
-    remote.log = &std::cerr;
   }
   for (std::size_t i = 0; i < args.size(); ++i) {
     auto seconds = [&](const char* flag) -> std::optional<double> {
@@ -340,38 +332,36 @@ int RunWork(std::vector<std::string> args, const CliOptions& common) {
       }
       return parsed;
     };
-    if (args[i] == "--spool" && i + 1 < args.size()) {
-      options.spool_root = args[++i];
-    } else if (args[i] == "--connect" && i + 1 < args.size()) {
+    if (args[i] == "--connect" && i + 1 < args.size()) {
       connect = args[++i];
     } else if (args[i] == "--chunk-rows" && i + 1 < args.size()) {
       const auto v = ParseUint64(args[++i]);
       if (!v || *v == 0) return Usage();
-      remote.chunk_rows = *v;
+      options.chunk_rows = *v;
     } else if (args[i] == "--heartbeat-sec") {
       const auto v = seconds("--heartbeat-sec");
       if (!v) return Usage();
-      remote.heartbeat_sec = *v;
+      options.heartbeat_sec = *v;
     } else if (args[i] == "--poll-sec") {
       const auto v = seconds("--poll-sec");
       if (!v) return Usage();
-      remote.poll_sec = *v;
+      options.poll_sec = *v;
     } else if (args[i] == "--connect-timeout") {
       const auto v = seconds("--connect-timeout");
       if (!v) return Usage();
-      remote.http.connect_timeout_sec = *v;
+      options.http.connect_timeout_sec = *v;
     } else if (args[i] == "--io-timeout") {
       const auto v = seconds("--io-timeout");
       if (!v) return Usage();
-      remote.http.io_timeout_sec = *v;
+      options.http.io_timeout_sec = *v;
     } else if (args[i] == "--retries" && i + 1 < args.size()) {
       const auto v = ParseUint64(args[++i]);
       if (!v) return Usage();
-      remote.http.max_retries = *v;
+      options.http.max_retries = *v;
     } else if (args[i] == "--backoff-base-sec") {
       const auto v = seconds("--backoff-base-sec");
       if (!v) return Usage();
-      remote.http.backoff_base_sec = *v;
+      options.http.backoff_base_sec = *v;
     } else if (args[i] == "--net-fault" && i + 1 < args.size()) {
       std::string fault_error;
       const auto config = ParseNetFaultSpec(args[++i], &fault_error);
@@ -379,63 +369,47 @@ int RunWork(std::vector<std::string> args, const CliOptions& common) {
         std::fprintf(stderr, "error: %s\n", fault_error.c_str());
         return Usage();
       }
-      remote.net_fault = *config;
+      options.net_fault = *config;
     } else if (args[i] == "--worker-name" && i + 1 < args.size()) {
-      remote.worker_name = args[++i];
+      options.worker_name = args[++i];
     } else if (args[i] == "--throttle-ms" && i + 1 < args.size()) {
       const auto v = ParseUint64(args[++i]);
       if (!v) return Usage();
       options.throttle_ms = *v;
-      remote.throttle_ms = *v;
     } else if (args[i] == "--kill-after-rows" && i + 1 < args.size()) {
       const auto v = ParseUint64(args[++i]);
       if (!v) return Usage();
       options.kill_after_rows = *v;
-      remote.kill_after_rows = *v;
     } else {
       std::fprintf(stderr, "error: unrecognised argument '%s'\n", args[i].c_str());
       return Usage();
     }
   }
-  if (options.spool_root.empty() == connect.empty()) {
-    std::fprintf(stderr, "error: work takes exactly one of --spool DIR or "
-                         "--connect HOST:PORT\n");
+  if (connect.empty()) {
+    std::fprintf(stderr, "error: work requires --connect HOST:PORT (the "
+                         "dispatcher's port is in <spool>/http.port)\n");
+    return Usage();
+  }
+  if (!ParseHostPort(connect, &options.host, &options.port)) {
     return Usage();
   }
 
-  if (!connect.empty()) {
-    if (!ParseHostPort(connect, &remote.host, &remote.port)) {
-      return Usage();
-    }
-    remote.jobs = options.jobs;
-    remote.trace_cache_dir = options.trace_cache_dir;
-    const RemoteWorkerSummary summary = RunRemoteWorkerLoop(remote);
-    if (!common.quiet) {
-      std::fprintf(stderr,
-                   "mobisim_sweepd: remote worker done: %zu items, %zu rows "
-                   "(%zu inherited, %zu errors, %zu lost leases, "
-                   "%llu transport failures)%s\n",
-                   summary.items, summary.rows, summary.inherited,
-                   summary.error_rows, summary.lost_leases,
-                   static_cast<unsigned long long>(summary.transport_failures),
-                   summary.drained ? "; sweep drained" : "");
-    }
-    if (summary.unreachable) {
-      return RemoteWorkerOptions::kExitUnreachable;
-    }
-    return summary.error_rows > 0 ? RemoteWorkerOptions::kExitPoisoned
-                                  : RemoteWorkerOptions::kExitClean;
-  }
-
-  const WorkerSummary summary = RunWorkerLoop(options);
+  const RemoteWorkerSummary summary = RunRemoteWorkerLoop(options);
   if (!common.quiet) {
     std::fprintf(stderr,
                  "mobisim_sweepd: worker done: %zu items, %zu rows "
-                 "(%zu resumed, %zu errors)\n",
-                 summary.items, summary.rows, summary.resumed, summary.error_rows);
+                 "(%zu inherited, %zu errors, %zu lost leases, "
+                 "%llu transport failures)%s\n",
+                 summary.items, summary.rows, summary.inherited,
+                 summary.error_rows, summary.lost_leases,
+                 static_cast<unsigned long long>(summary.transport_failures),
+                 summary.drained ? "; sweep drained" : "");
   }
-  return summary.error_rows > 0 ? WorkerOptions::kExitPoisoned
-                                : WorkerOptions::kExitClean;
+  if (summary.unreachable) {
+    return RemoteWorkerOptions::kExitUnreachable;
+  }
+  return summary.error_rows > 0 ? RemoteWorkerOptions::kExitPoisoned
+                                : RemoteWorkerOptions::kExitClean;
 }
 
 // --- status --------------------------------------------------------------

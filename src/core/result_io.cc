@@ -1,6 +1,7 @@
 #include "src/core/result_io.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -338,6 +339,21 @@ double ResultRow::Number(const std::string& key, double fallback) const {
   return value;
 }
 
+std::optional<std::uint64_t> ResultRow::Count(
+    const std::string& key, std::optional<std::uint64_t> fallback) const {
+  const ResultField* field = Find(key);
+  if (field == nullptr) {
+    return fallback;
+  }
+  const double value = field->quoted ? -1.0 : Number(key, -1.0);
+  // Negated comparisons so that NaN fails too.
+  if (!(value >= 0.0) || !(value <= 9007199254740992.0) ||
+      value != std::floor(value)) {
+    return std::nullopt;
+  }
+  return static_cast<std::uint64_t>(value);
+}
+
 std::string ResultRow::Text(const std::string& key, const std::string& fallback) const {
   const ResultField* field = Find(key);
   return field == nullptr ? fallback : field->value;
@@ -464,7 +480,11 @@ std::optional<RunMeta> MetaFromRow(const ResultRow& row) {
   meta.git_sha = row.Text("git_sha");
   meta.created = row.Text("created");
   meta.host = row.Text("host");
-  meta.points = static_cast<std::uint64_t>(row.Number("points", 0));
+  const auto points = row.Count("points", 0);
+  if (!points) {
+    return std::nullopt;
+  }
+  meta.points = *points;
   return meta;
 }
 

@@ -35,6 +35,14 @@ struct ResultRow {
   const ResultField* Find(const std::string& key) const;
   // Value lookup helpers; `fallback` when the key is missing or non-numeric.
   double Number(const std::string& key, double fallback = 0.0) const;
+  // A count or index from outside input, as written by AddInt: `fallback`
+  // when the key is missing; nullopt when the value is quoted, non-numeric,
+  // negative, fractional, non-finite or above 2^53 (where doubles stop being
+  // exact integers).  Casting Number() to an integer is undefined for some
+  // of those, so every such read goes through here.
+  std::optional<std::uint64_t> Count(
+      const std::string& key,
+      std::optional<std::uint64_t> fallback = std::nullopt) const;
   std::string Text(const std::string& key, const std::string& fallback = "") const;
 };
 
@@ -62,7 +70,8 @@ struct RunMeta {
 // True when the row is a metadata header (first field is "_meta").
 bool IsMetaRow(const ResultRow& row);
 ResultRow MetaToRow(const RunMeta& meta);
-// Returns nullopt when `row` is not a metadata header.
+// Returns nullopt when `row` is not a metadata header, or its point count is
+// not a valid count.
 std::optional<RunMeta> MetaFromRow(const ResultRow& row);
 
 // --- JSON (one flat object per row) ---

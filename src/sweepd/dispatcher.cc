@@ -4,8 +4,8 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <iomanip>
 #include <map>
-#include <memory>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -18,6 +18,7 @@
 #include "src/sweepd/lease.h"
 #include "src/sweepd/merge.h"
 #include "src/sweepd/spool.h"
+#include "src/sweepd/worker.h"
 #include "src/util/atomic_file.h"
 #include "src/util/bytes.h"
 #include "src/util/heartbeat.h"
@@ -43,11 +44,21 @@ std::string SelfBinary() {
   return buf;
 }
 
+// Rows per /results upload for the dispatcher's own children.  Each upload
+// is a loopback round trip during which the child's sweep waits, and the
+// endpoint serves one request at a time; a kill costs at most this many
+// re-simulated rows.
+constexpr std::size_t kChildChunkRows = 64;
+
 pid_t SpawnWorker(const std::string& binary, const DispatcherOptions& options,
-                  std::size_t kill_after_rows) {
-  std::vector<std::string> args = {binary, "work", "--spool", options.spool_root,
-                                   "--jobs", std::to_string(options.jobs_per_worker),
-                                   "--quiet"};
+                  std::uint16_t port, std::size_t kill_after_rows) {
+  std::ostringstream poll_sec;
+  poll_sec << std::setprecision(17) << options.poll_sec;
+  std::vector<std::string> args = {
+      binary, "work", "--connect", "127.0.0.1:" + std::to_string(port),
+      "--jobs", std::to_string(options.jobs_per_worker),
+      "--poll-sec", poll_sec.str(),
+      "--chunk-rows", std::to_string(kChildChunkRows), "--quiet"};
   if (!options.trace_cache_dir.empty()) {
     args.push_back("--trace-cache");
     args.push_back(options.trace_cache_dir);
@@ -203,62 +214,59 @@ DispatchSummary RunDispatcher(const DispatcherOptions& options) {
         .count();
   };
 
-  // Live endpoint: /status and /results recompute from the spool on every
+  // The endpoint: /status and /results recompute from the spool on every
   // request, so the handler needs no shared mutable state with this loop;
   // the lease endpoints (POST /lease, /heartbeat, /results, /done) go
-  // through the LeaseService, which locks internally.
-  HttpServer http;
-  std::unique_ptr<LeaseService> lease_service;
-  if (options.http_port >= 0) {
-    const auto spec_text = spool.ReadSpecText(&error);
-    if (!spec_text) {
-      if (options.log != nullptr) {
-        *options.log << "sweepd: " << error << "\n";
-      }
-      return summary;
-    }
-    LeaseServiceOptions lease_options;
-    lease_options.lease_sec = options.lease_sec;
-    lease_options.log = options.log;
-    lease_service =
-        std::make_unique<LeaseService>(&spool, *meta, *spec_text, lease_options);
-    const bool ok = http.Start(
-        static_cast<std::uint16_t>(options.http_port), options.http_bind_any,
-        [&spool, &meta, &elapsed, &options,
-         lease = lease_service.get()](const HttpRequest& request) {
-          if (auto handled = lease->Handle(request)) {
-            return *handled;
-          }
-          HttpResponse response;
-          if (request.path == "/status" || request.path == "/") {
-            response.body =
-                RenderStatusJson(spool, *meta, elapsed(), options.lease_sec) +
-                "\n";
-          } else if (request.path == "/results") {
-            response.content_type = "application/jsonl";
-            response.body = RenderResults(spool, *meta);
-          } else {
-            response = HttpNotFound();
-          }
-          return response;
-        },
-        &error);
-    if (!ok) {
-      if (options.log != nullptr) {
-        *options.log << "sweepd: http: " << error << "\n";
-      }
-      return summary;
-    }
-    WriteFileAtomic(spool.PortPath(), std::to_string(http.port()) + "\n");
+  // through the LeaseService, which locks internally.  It is always up:
+  // local children reach the spool through it too.
+  const auto spec_text = spool.ReadSpecText(&error);
+  if (!spec_text) {
     if (options.log != nullptr) {
-      *options.log << "sweepd: status at http://127.0.0.1:" << http.port()
-                   << "/status\n";
+      *options.log << "sweepd: " << error << "\n";
     }
+    return summary;
+  }
+  LeaseServiceOptions lease_options;
+  lease_options.lease_sec = options.lease_sec;
+  lease_options.log = options.log;
+  LeaseService lease_service(&spool, *meta, *spec_text, lease_options);
+  HttpServer http;
+  const bool ok = http.Start(
+      options.http_port, options.http_bind_any,
+      [&spool, &meta, &elapsed, &options,
+       &lease_service](const HttpRequest& request) {
+        if (auto handled = lease_service.Handle(request)) {
+          return *handled;
+        }
+        HttpResponse response;
+        if (request.path == "/status" || request.path == "/") {
+          response.body =
+              RenderStatusJson(spool, *meta, elapsed(), options.lease_sec) + "\n";
+        } else if (request.path == "/results") {
+          response.content_type = "application/jsonl";
+          response.body = RenderResults(spool, *meta);
+        } else {
+          response = HttpNotFound();
+        }
+        return response;
+      },
+      &error);
+  if (!ok) {
+    if (options.log != nullptr) {
+      *options.log << "sweepd: http: " << error << "\n";
+    }
+    return summary;
+  }
+  WriteFileAtomic(spool.PortPath(), std::to_string(http.port()) + "\n");
+  if (options.log != nullptr) {
+    *options.log << "sweepd: status at http://127.0.0.1:" << http.port()
+                 << "/status\n";
   }
 
   const std::string binary =
       options.worker_binary.empty() ? SelfBinary() : options.worker_binary;
-  std::map<pid_t, std::size_t> live;  // pid -> worker ordinal
+  std::set<pid_t> live;
+  std::set<std::string> own_workers;  // names of every child ever spawned
   // Hard cap on total spawns: generous headroom over the expected respawn
   // churn, so a crash-looping worker binary cannot fork-bomb the machine.
   const std::size_t spawn_cap =
@@ -271,11 +279,12 @@ DispatchSummary RunDispatcher(const DispatcherOptions& options) {
       const std::size_t kill_rows = summary.workers_spawned == 0
                                         ? options.kill_first_worker_after_rows
                                         : 0;
-      const pid_t pid = SpawnWorker(binary, options, kill_rows);
+      const pid_t pid = SpawnWorker(binary, options, http.port(), kill_rows);
       if (pid <= 0) {
         return;
       }
-      live.emplace(pid, summary.workers_spawned);
+      live.insert(pid);
+      own_workers.insert(DefaultWorkerName(pid));
       ++summary.workers_spawned;
       ResultRow event;
       event.AddText("event", "worker_spawned");
@@ -287,11 +296,9 @@ DispatchSummary RunDispatcher(const DispatcherOptions& options) {
   // Requeue an item whose lease was forfeited, or fail it when its retry
   // budget is spent.
   const auto recover = [&](const WorkItem& item, const std::string& why) {
-    if (lease_service) {
-      // The holder's token dies with the lease: a late upload from the old
-      // owner now gets 410 Gone instead of touching the requeued item.
-      lease_service->InvalidateItem(item.id);
-    }
+    // The holder's token dies with the lease: a late upload from the old
+    // owner now gets 410 Gone instead of touching the requeued item.
+    lease_service.InvalidateItem(item.id);
     ResultRow event;
     if (item.attempt < options.retry_budget) {
       if (spool.Requeue(item, &error)) {
@@ -315,7 +322,6 @@ DispatchSummary RunDispatcher(const DispatcherOptions& options) {
   };
 
   std::set<std::string> processed_done;
-  std::set<std::uint64_t> dead_owners;
   // Items observed in running/ without a heartbeat yet, and when (elapsed
   // seconds) each was first seen.  rename() preserves mtimes, so a freshly
   // claimed item's task file can look arbitrarily old — the lease clock for
@@ -325,32 +331,34 @@ DispatchSummary RunDispatcher(const DispatcherOptions& options) {
   spawn_if_needed();
   while (true) {
     // Reap spawned workers; a death is also an instant lease forfeit for
-    // every item the dead pid owned (no need to wait out the deadline).
+    // every item the dead child held (no need to wait out the deadline).
     for (auto it = live.begin(); it != live.end();) {
       int status = 0;
-      const pid_t done = ::waitpid(it->first, &status, WNOHANG);
-      if (done == it->first) {
-        ResultRow event;
-        event.AddText("event", "worker_exit");
-        event.AddInt("pid", static_cast<std::uint64_t>(it->first));
-        event.AddInt("status", static_cast<std::uint64_t>(
-                                   WIFEXITED(status) ? WEXITSTATUS(status) : 128));
-        spool.AppendEvent(std::move(event));
-        dead_owners.insert(static_cast<std::uint64_t>(it->first));
-        it = live.erase(it);
-      } else {
+      if (::waitpid(*it, &status, WNOHANG) != *it) {
         ++it;
+        continue;
       }
+      ResultRow event;
+      event.AddText("event", "worker_exit");
+      event.AddInt("pid", static_cast<std::uint64_t>(*it));
+      event.AddInt("status", static_cast<std::uint64_t>(
+                                 WIFEXITED(status) ? WEXITSTATUS(status) : 128));
+      spool.AppendEvent(std::move(event));
+      for (const WorkItem& held : lease_service.LeasesHeldBy(DefaultWorkerName(*it))) {
+        const auto item = spool.ReadItem("running", held.id, &error);
+        if (item && item->attempt == held.attempt) {
+          recover(*item, "worker died");
+        }
+      }
+      it = live.erase(it);
     }
 
-    // Lease enforcement over running items.
+    // Lease expiry over running items.
     for (const std::string& id : spool.ListIds("running")) {
       const auto item = spool.ReadItem("running", id, &error);
       if (!item) {
         continue;  // claimed or finished between listing and reading
       }
-      const auto beat = ReadHeartbeat(spool.HeartbeatPath(id));
-      const bool owner_dead = beat && dead_owners.count(beat->owner) > 0;
       const auto age = SecondsSinceModified(spool.HeartbeatPath(id));
       double silence = 0.0;
       if (age) {
@@ -361,9 +369,7 @@ DispatchSummary RunDispatcher(const DispatcherOptions& options) {
             first_seen_without_heartbeat.emplace(id, elapsed());
         silence = inserted ? 0.0 : elapsed() - it->second;
       }
-      if (owner_dead) {
-        recover(*item, "worker died");
-      } else if (silence > options.lease_sec) {
+      if (silence > options.lease_sec) {
         recover(*item, "lease expired");
       }
     }
@@ -421,31 +427,14 @@ DispatchSummary RunDispatcher(const DispatcherOptions& options) {
     if (counts.queued == 0 && counts.running == 0) {
       break;
     }
-    std::this_thread::sleep_for(std::chrono::duration<double>(options.poll_sec));
+    lease_service.WaitForDone(options.poll_sec);
   }
 
-  // Workers exit on their own once the queue drains; reap the stragglers.
-  for (const auto& [pid, ordinal] : live) {
-    (void)ordinal;
-    int status = 0;
-    ::waitpid(pid, &status, 0);
-  }
-
-  if (lease_service && lease_service->ever_leased()) {
-    // Tell remote pollers the sweep is over — "drained", not "empty" — and
-    // keep serving briefly so they can hear it and exit cleanly instead of
-    // finding a closed port mid-poll.
-    lease_service->set_drained(true);
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(2.0 * options.poll_sec + 0.25));
-  }
-
-  if (http.running()) {
-    http.Stop();
-    std::error_code ec;
-    std::filesystem::remove(spool.PortPath(), ec);
-  }
-
+  // The sweep is over: /lease now answers "drained", which our children
+  // hear within one poll and exit on; the final tally overlaps that wait.
+  // A worker this dispatcher did not spawn gets two of our poll periods plus
+  // a margin to hear it too, instead of finding a closed port mid-poll.
+  lease_service.set_drained(true);
   const Spool::Counts counts = spool.CountItems();
   const MergedRun merged = MergeSpoolLive(spool);
   summary.shards_done = counts.done;
@@ -453,6 +442,18 @@ DispatchSummary RunDispatcher(const DispatcherOptions& options) {
   summary.points_done = merged.rows.size();
   summary.error_points = merged.stats.error_rows;
   summary.complete = counts.queued == 0 && counts.running == 0;
+  for (const pid_t pid : live) {
+    int status = 0;
+    ::waitpid(pid, &status, 0);
+  }
+  if (lease_service.LeasedOutside(own_workers)) {
+    std::this_thread::sleep_for(
+        std::chrono::duration<double>(2.0 * options.poll_sec + 0.25));
+  }
+  http.Stop();
+  std::error_code ec;
+  std::filesystem::remove(spool.PortPath(), ec);
+
   ResultRow event;
   event.AddText("event", "sweep_complete");
   event.AddInt("shards_done", summary.shards_done);

@@ -1,18 +1,19 @@
-// Fault-tolerant dispatch of a spooled sweep across local worker processes.
+// Fault-tolerant dispatch of a spooled sweep across worker processes.
 //
 // The dispatcher owns no simulation: it creates work items (Spool::Create
-// does that), spawns and reaps worker processes, and enforces the lease
-// protocol — a running item whose heartbeat goes stale past the lease
-// deadline, or whose owning spawned worker died, is requeued with its
-// attempt count bumped; an item that exhausts its retry budget moves to
-// failed/.  Completed shards that carry `_error` rows (poisoned points)
-// get targeted retry items for exactly those point indices, again up to
-// the retry budget, after which the `_error` rows stand in the merged
-// output.
+// does that), serves the HTTP lease protocol (lease.h) that every worker
+// claims, uploads and finalizes through, spawns and reaps its local pool of
+// `work --connect` children over loopback, and enforces leases — a running
+// item whose heartbeat goes stale past the lease deadline, or whose holder
+// was a spawned child that died, is requeued with its attempt count bumped;
+// an item that exhausts its retry budget moves to failed/.  Completed
+// shards that carry `_error` rows (poisoned points) get targeted retry
+// items for exactly those point indices, again up to the retry budget,
+// after which the `_error` rows stand in the merged output.
 //
-// While running it serves a minimal HTTP endpoint (GET /status: live
-// counters, points/sec, ETA; GET /results: the merged view so far) and
-// appends every state transition to events.jsonl.
+// The same endpoint serves GET /status (live counters, points/sec, ETA) and
+// GET /results (the merged view so far); every state transition is appended
+// to events.jsonl.
 #ifndef MOBISIM_SRC_SWEEPD_DISPATCHER_H_
 #define MOBISIM_SRC_SWEEPD_DISPATCHER_H_
 
@@ -30,13 +31,13 @@ struct SpoolMeta;
 
 struct DispatcherOptions {
   std::string spool_root;
-  std::size_t workers = 0;          // local workers to spawn; 0 = external only
+  std::size_t workers = 0;          // local children to spawn; 0 = external only
   std::size_t jobs_per_worker = 1;  // simulation threads per worker
   // Extra attempts an item (and an `_error` point) gets beyond its first.
   std::size_t retry_budget = 1;
   double lease_sec = 30.0;  // heartbeat silence that forfeits a lease
   double poll_sec = 0.25;
-  int http_port = -1;  // -1 = no endpoint; 0 = ephemeral (port in http.port)
+  std::uint16_t http_port = 0;  // 0 = ephemeral; the port lands in http.port
   // Loopback-only by default; binding all interfaces (so `work --connect`
   // can reach the lease endpoints from another machine) takes an explicit
   // flag because the endpoint trusts its network.
@@ -46,8 +47,8 @@ struct DispatcherOptions {
 
   // Worker binary for spawned workers; empty = this binary (/proc/self/exe).
   std::string worker_binary;
-  // Test hooks forwarded to spawned workers (see WorkerOptions): throttle
-  // every worker, and have the FIRST spawned worker die after N rows.
+  // Test hooks forwarded to spawned workers (see RemoteWorkerOptions):
+  // throttle every worker, and have the FIRST spawned worker die after N rows.
   std::size_t throttle_ms = 0;
   std::size_t kill_first_worker_after_rows = 0;
 };

@@ -1,5 +1,6 @@
 #include "src/sweepd/lease.h"
 
+#include <chrono>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -67,12 +68,10 @@ LeaseService::LeaseService(const Spool* spool, SpoolMeta meta,
       meta_(std::move(meta)),
       spec_text_(std::move(spec_text)),
       options_(options) {
-  // Owner ids must never collide with local worker pids (the dispatcher's
-  // dead-owner test) or with a previous dispatcher incarnation's remote
-  // owners (heartbeat files survive restarts): high bit set, seeded from
-  // wall clock and pid, then sequential.
-  next_owner_ = (Fnv1a64(NowUtc() + "/" + std::to_string(::getpid())) |
-                 (1ull << 63));
+  // Owner ids must never collide with a previous dispatcher incarnation's
+  // (heartbeat files survive restarts): seeded from wall clock and pid, then
+  // sequential.
+  next_owner_ = Fnv1a64(NowUtc() + "/" + std::to_string(::getpid()));
 }
 
 std::optional<HttpResponse> LeaseService::Handle(const HttpRequest& request) {
@@ -106,9 +105,46 @@ void LeaseService::InvalidateItem(const std::string& id) {
   }
 }
 
+std::vector<WorkItem> LeaseService::LeasesHeldBy(const std::string& worker) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<WorkItem> items;
+  for (const auto& [token, lease] : leases_) {
+    (void)token;
+    if (lease.worker == worker) {
+      items.push_back(lease.item);
+    }
+  }
+  return items;
+}
+
+bool LeaseService::LeasedOutside(const std::set<std::string>& workers) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const std::string& lessee : lessees_) {
+    if (workers.count(lessee) == 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void LeaseService::WaitForDone(double seconds) {
+  std::unique_lock<std::mutex> lock(mu_);
+  done_cv_.wait_for(lock, std::chrono::duration<double>(seconds),
+                    [this] { return item_done_; });
+  item_done_ = false;
+}
+
 std::size_t LeaseService::active_leases() const {
   std::lock_guard<std::mutex> lock(mu_);
   return leases_.size();
+}
+
+void LeaseService::Lease::Merge(ResultRow row) {
+  MergeStats stats;
+  std::string error;
+  if (!MergeRowInto(&merged, std::move(row), &stats, &error) && conflict.empty()) {
+    conflict = error;
+  }
 }
 
 LeaseService::Lease* LeaseService::Validate(const std::string& token,
@@ -160,7 +196,7 @@ HttpResponse LeaseService::HandleLease(const HttpRequest& request) {
     row.AddText("state", drained_.load() ? "drained" : "empty");
     return JsonOk(row);
   }
-  ever_leased_.store(true);
+  lessees_.insert(worker);
 
   Lease lease;
   lease.item = *item;
@@ -170,11 +206,12 @@ HttpResponse LeaseService::HandleLease(const HttpRequest& request) {
   // those points, and /results treats their fingerprints as already seen.
   std::vector<std::uint64_t> done_points;
   for (const std::string& part : spool_->PartPaths(item->id)) {
-    for (const ResultRow& row : LoadPartialRows(part)) {
+    for (ResultRow& row : LoadPartialRows(part)) {
       const auto index = PointIndexOf(row);
       if (index) {
         done_points.push_back(*index);
         lease.fingerprints.insert(PointFingerprint(row));
+        lease.Merge(std::move(row));
       }
     }
   }
@@ -215,15 +252,17 @@ HttpResponse LeaseService::HandleHeartbeat(const HttpRequest& request) {
   if (!body) {
     return HttpError(400, "heartbeat body is not a JSON object");
   }
+  const auto rows = body->Count("rows", 0);
+  if (!rows) {
+    return HttpError(400, "heartbeat rows must be a non-negative integer");
+  }
   std::lock_guard<std::mutex> lock(mu_);
   std::string why;
   Lease* lease = Validate(body->Text("token"), &why);
   if (lease == nullptr) {
     return HttpError(410, why);
   }
-  const std::uint64_t rows =
-      static_cast<std::uint64_t>(body->Number("rows", 0.0));
-  WriteHeartbeat(spool_->HeartbeatPath(lease->item.id), {rows, lease->owner});
+  WriteHeartbeat(spool_->HeartbeatPath(lease->item.id), {*rows, lease->owner});
   ResultRow row;
   row.AddText("state", "ok");
   row.AddNumber("lease_sec", options_.lease_sec);
@@ -272,6 +311,7 @@ HttpResponse LeaseService::HandleResults(const HttpRequest& request) {
       continue;
     }
     fresh << RowToJson(*row) << "\n";
+    lease->Merge(std::move(*row));
     ++accepted;
   }
   if (accepted > 0) {
@@ -286,10 +326,6 @@ HttpResponse LeaseService::HandleResults(const HttpRequest& request) {
     if (!part) {
       return HttpError(500, "short write to part file");
     }
-    lease->uploaded += accepted;
-    // An upload is proof of life as good as a heartbeat.
-    WriteHeartbeat(spool_->HeartbeatPath(lease->item.id),
-                   {lease->uploaded, lease->owner});
   }
 
   ResultRow row;
@@ -315,18 +351,12 @@ HttpResponse LeaseService::HandleDone(const HttpRequest& request) {
   const WorkItem item = lease->item;
   const std::uint64_t owner = lease->owner;
 
-  // Finalize exactly as a local worker would: every attempt's part rows,
-  // merged under the shared conflict rule, in global point-index order.
-  std::map<std::uint64_t, ResultRow> merged;
-  MergeStats stats;
-  for (const std::string& part : spool_->PartPaths(item.id)) {
-    for (ResultRow& row : LoadPartialRows(part)) {
-      std::string error;
-      if (!MergeRowInto(&merged, std::move(row), &stats, &error)) {
-        return HttpError(409, "uploaded rows conflict: " + error);
-      }
-    }
+  // Finalize: every attempt's part rows, already merged in global
+  // point-index order.
+  if (!lease->conflict.empty()) {
+    return HttpError(409, "uploaded rows conflict: " + lease->conflict);
   }
+  const std::map<std::uint64_t, ResultRow>& merged = lease->merged;
   const std::size_t expected = ExpectedItemPoints(item, meta_.points);
   if (merged.size() < expected) {
     // A /done racing an unacknowledged /results chunk (or a worker that
@@ -359,6 +389,7 @@ HttpResponse LeaseService::HandleDone(const HttpRequest& request) {
     }
     out << RowToJson(row) << "\n";
   }
+  const std::size_t rows = merged.size();  // `merged` dies with the lease
   std::string error;
   if (!WriteFileAtomic(spool_->RowsPath(item.id), out.str(), &error)) {
     return HttpError(500, error);
@@ -374,23 +405,25 @@ HttpResponse LeaseService::HandleDone(const HttpRequest& request) {
   for (auto it = leases_.begin(); it != leases_.end();) {
     it = it->second.item.id == item.id ? leases_.erase(it) : std::next(it);
   }
+  item_done_ = true;
+  done_cv_.notify_all();
 
   ResultRow event;
   event.AddText("event", error_rows > 0 ? "shard_poisoned" : "shard_done");
   event.AddText("item", item.id);
   event.AddInt("attempt", item.attempt);
-  event.AddInt("rows", merged.size());
+  event.AddInt("rows", rows);
   event.AddInt("error_rows", error_rows);
   event.AddInt("owner", owner);
   spool_->AppendEvent(std::move(event));
   if (options_.log != nullptr) {
-    *options_.log << "sweepd: " << item.id << " done remotely (" << merged.size()
+    *options_.log << "sweepd: " << item.id << " done (" << rows
                   << " rows, " << error_rows << " errors)\n";
   }
 
   ResultRow row;
   row.AddText("state", "ok");
-  row.AddInt("rows", merged.size());
+  row.AddInt("rows", rows);
   row.AddInt("error_rows", error_rows);
   return JsonOk(row);
 }

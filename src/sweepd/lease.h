@@ -1,27 +1,27 @@
-// HTTP lease protocol: how remote workers serve a spool they cannot mount.
+// HTTP lease protocol: the only code that moves a work item through its
+// spool lifecycle.
 //
-// A shared-filesystem worker talks to the spool directly — rename() is its
-// claim, a heartbeat file its liveness, a part file its streamed rows.  A
-// remote worker has only the dispatcher's HTTP endpoint, so this service
-// translates four POSTs into exactly those spool operations:
+// Workers never touch the spool.  Remote workers and the dispatcher's own
+// local pool alike (`work --connect`, over loopback for the latter) reach it
+// through four POSTs, which this service translates into spool operations:
 //
 //   POST /lease      claim one queued item.  The response carries the work
-//                    item, the canonical spec text *verbatim* (remote and
-//                    local workers parse identical bytes), a lease token,
-//                    and the point indices already streamed by previous
-//                    attempts (the resume set).
+//                    item, the canonical spec text *verbatim* (every worker
+//                    parses identical bytes), a lease token, and the point
+//                    indices already streamed by previous attempts (the
+//                    resume set).
 //   POST /heartbeat  rewrite the item's heartbeat file.  The dispatcher's
-//                    existing lease-expiry loop needs no remote awareness:
-//                    a partitioned worker simply stops beating and the item
-//                    requeues through the normal spool lifecycle.
+//                    lease-expiry loop reads only that file: a partitioned
+//                    worker simply stops beating and the item requeues
+//                    through the normal spool lifecycle.
 //   POST /results    append a chunk of result rows to the attempt's part
 //                    file.  Idempotent by point fingerprint: a duplicated
 //                    or replayed chunk (retries, injected network faults)
 //                    changes nothing, so clients may retry blindly.
 //   POST /done       finalize: merge part rows, publish done/<id>.jsonl
-//                    atomically, move the task — the same sequence a local
-//                    worker performs, validated against the expected point
-//                    count so a torn upload can never finalize short.
+//                    atomically, move the task to done/, validated against
+//                    the expected point count so a torn upload can never
+//                    finalize short.
 //
 // Failure ordering is resolved by the token table plus the spool itself: a
 // token is valid only while its item sits in running/ with the granted
@@ -39,6 +39,7 @@
 #define MOBISIM_SRC_SWEEPD_LEASE_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -46,6 +47,7 @@
 #include <ostream>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/sweepd/spool.h"
 #include "src/util/http_server.h"
@@ -80,7 +82,14 @@ class LeaseService {
   // work will ever appear, so pollers may exit instead of spinning.
   void set_drained(bool drained) { drained_.store(drained); }
 
-  bool ever_leased() const { return ever_leased_.load(); }
+  // The items currently leased to `worker` (its self-reported name): what a
+  // dead worker forfeits.
+  std::vector<WorkItem> LeasesHeldBy(const std::string& worker) const;
+  // True when some lease, at any time, went to a worker not in `workers`.
+  bool LeasedOutside(const std::set<std::string>& workers) const;
+  // The dispatcher's poll sleep: returns after `seconds`, or as soon as an
+  // item finishes through /done.
+  void WaitForDone(double seconds);
   std::size_t active_leases() const;
 
  private:
@@ -88,10 +97,16 @@ class LeaseService {
     WorkItem item;
     std::uint64_t owner = 0;
     std::string worker;  // self-reported name, for events and status
-    // Fingerprints of every row already in the item's part files (seeded at
-    // grant time, grown per upload): the idempotency filter for /results.
+    // Every row in the item's part files (seeded at grant time from earlier
+    // attempts, grown per upload), merged under the shared conflict rule as
+    // it arrives, so /done publishes without re-reading the part files.
+    // `conflict` keeps the first merge error.
+    std::map<std::uint64_t, ResultRow> merged;
+    std::string conflict;
+    // Fingerprints of those rows: the idempotency filter for /results.
     std::set<std::string> fingerprints;
-    std::uint64_t uploaded = 0;  // rows accepted, mirrored into the heartbeat
+
+    void Merge(ResultRow row);
   };
 
   HttpResponse HandleLease(const HttpRequest& request);
@@ -111,9 +126,11 @@ class LeaseService {
 
   mutable std::mutex mu_;
   std::map<std::string, Lease> leases_;  // token -> lease
+  std::set<std::string> lessees_;        // every worker ever granted a lease
+  bool item_done_ = false;               // an item finished since WaitForDone
+  std::condition_variable done_cv_;
   std::uint64_t next_owner_ = 0;
   std::atomic<bool> drained_{false};
-  std::atomic<bool> ever_leased_{false};
 };
 
 }  // namespace mobisim

@@ -86,15 +86,7 @@ bool MergeRowInto(std::map<std::uint64_t, ResultRow>* merged, ResultRow row,
 }
 
 std::optional<std::uint64_t> PointIndexOf(const ResultRow& row) {
-  const ResultField* field = row.Find("point");
-  if (field == nullptr || field->quoted) {
-    return std::nullopt;
-  }
-  const double value = row.Number("point", -1.0);
-  if (value < 0.0) {
-    return std::nullopt;
-  }
-  return static_cast<std::uint64_t>(value);
+  return row.Count("point");
 }
 
 bool IsErrorRow(const ResultRow& row) { return row.Find("_error") != nullptr; }

@@ -81,9 +81,17 @@ std::optional<WorkItem> WorkItemFromJson(const std::string& text,
     SetError(error, "work item without an id");
     return std::nullopt;
   }
-  item.shard = static_cast<std::size_t>(row->Number("shard", 0));
-  item.shards = static_cast<std::size_t>(row->Number("shards", 1));
-  item.attempt = static_cast<std::size_t>(row->Number("attempt", 0));
+  const auto shard = row->Count("shard", 0);
+  const auto shards = row->Count("shards", 1);
+  const auto attempt = row->Count("attempt", 0);
+  if (!shard || !shards || !attempt) {
+    SetError(error, "work item " + item.id +
+                        ": shard, shards and attempt must be non-negative integers");
+    return std::nullopt;
+  }
+  item.shard = *shard;
+  item.shards = *shards;
+  item.attempt = *attempt;
   if (!SplitIndices(row->Text("points"), &item.points, error)) {
     return std::nullopt;
   }
@@ -171,11 +179,13 @@ std::optional<SpoolMeta> Spool::ReadMeta(std::string* error) const {
   SpoolMeta meta;
   meta.name = row->Text("name");
   meta.spec_hash = row->Text("spec_hash");
-  meta.shards = static_cast<std::size_t>(row->Number("shards", 0));
-  meta.points = static_cast<std::size_t>(row->Number("points", 0));
+  const auto shards = row->Count("shards", 0);
+  const auto points = row->Count("points", 0);
+  meta.shards = shards.value_or(0);
+  meta.points = points.value_or(0);
   meta.created = row->Text("created");
   meta.host = row->Text("host");
-  if (meta.name.empty() || meta.spec_hash.empty() || meta.shards == 0) {
+  if (meta.name.empty() || meta.spec_hash.empty() || meta.shards == 0 || !points) {
     SetError(error, MetaPath() + ": incomplete spool metadata");
     return std::nullopt;
   }

@@ -2,7 +2,8 @@
 //
 // A sweep is split into shard work items that live as small JSON files and
 // move between four state directories by atomic rename — the classic
-// maildir-style queue, chosen so that a dispatcher, N worker processes, and
+// maildir-style queue, chosen so that the dispatcher, its lease service
+// (the only code that claims and finishes items on behalf of workers), and
 // a human with `ls` all see exactly one consistent state per item, and a
 // crash at any instant leaves the spool recoverable:
 //
@@ -11,7 +12,7 @@
 //   <root>/queue/<id>.task        items waiting for a worker
 //   <root>/running/<id>.task      leased items
 //   <root>/running/<id>.hb        lease heartbeat (src/util/heartbeat.h)
-//   <root>/running/<id>.a<K>.jsonl.part  attempt-K streamed rows (resume input)
+//   <root>/running/<id>.a<K>.jsonl.part  attempt-K uploaded rows (resume input)
 //   <root>/done/<id>.task         completed items
 //   <root>/done/<id>.jsonl        their rows (complete: WriteFileAtomic)
 //   <root>/failed/<id>.task       items whose retry budget is exhausted
@@ -19,8 +20,8 @@
 //   <root>/http.port              live status endpoint's port, while serving
 //   <root>/merged.jsonl           final merged run (written by serve/merge)
 //
-// Claiming is rename(queue/X, running/X): exactly one of two racing workers
-// succeeds, the other sees ENOENT and moves on.  Requeueing writes the item
+// Claiming is rename(queue/X, running/X): exactly one of two racing
+// claimants succeeds, the other sees ENOENT and moves on.  Requeueing writes the item
 // (attempt+1) back into queue/ atomically before unlinking the running copy,
 // so a dispatcher crash can duplicate a queue entry but never lose one —
 // and re-running a shard is safe because point results are deterministic.
@@ -80,9 +81,8 @@ class Spool {
 
   std::optional<SpoolMeta> ReadMeta(std::string* error) const;
   std::optional<ExperimentSpec> LoadSpec(std::string* error) const;
-  // The verbatim bytes of spec.spec — what `POST /lease` hands to a remote
-  // worker, so a worker across the network parses the exact same text a
-  // shared-filesystem worker would.
+  // The verbatim bytes of spec.spec — what `POST /lease` hands to every
+  // worker, so each parses the exact text the dispatcher validated.
   std::optional<std::string> ReadSpecText(std::string* error) const;
 
   // --- paths ---

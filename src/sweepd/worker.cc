@@ -4,201 +4,21 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
-#include <fstream>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
-#include <sstream>
 #include <thread>
 #include <vector>
 
 #include <unistd.h>
 
 #include "src/runner/cli_options.h"
-#include "src/runner/result_sink.h"
 #include "src/runner/sweep_runner.h"
 #include "src/sweepd/merge.h"
 #include "src/sweepd/spool.h"
 #include "src/trace/trace_cache.h"
-#include "src/util/atomic_file.h"
-#include "src/util/heartbeat.h"
 
 namespace mobisim {
-
-namespace {
-
-// One claimed item, end to end: resume, simulate, finalize.
-void RunOneItem(const Spool& spool, const SpoolMeta& meta,
-                const ExperimentSpec& spec, const WorkItem& item,
-                const WorkerOptions& options, TraceCache* trace_cache,
-                std::atomic<std::uint64_t>* total_rows, WorkerSummary* summary) {
-  // Resolve the item to its concrete points (global indices throughout).
-  std::vector<ExperimentPoint> points = EnumerateGrid(spec);
-  points = item.points.empty() ? FilterShard(std::move(points), item.shard, item.shards)
-                               : FilterPoints(std::move(points), item.points);
-
-  // Resume: rows a dead predecessor already streamed are inherited, not
-  // re-simulated.  Every attempt's part file is read (two part files can
-  // coexist after a spurious requeue); exact duplicates merge away later.
-  std::map<std::uint64_t, ResultRow> inherited;
-  for (const std::string& part : spool.PartPaths(item.id)) {
-    for (ResultRow& row : LoadPartialRows(part)) {
-      const auto index = PointIndexOf(row);
-      if (index) {
-        inherited.emplace(*index, std::move(row));
-      }
-    }
-  }
-  if (!inherited.empty()) {
-    std::vector<ExperimentPoint> remaining;
-    for (ExperimentPoint& point : points) {
-      if (inherited.find(point.index) == inherited.end()) {
-        remaining.push_back(std::move(point));
-      }
-    }
-    points = std::move(remaining);
-    summary->resumed += inherited.size();
-  }
-
-  // Stream this attempt's rows to its own part file, flushed per row so a
-  // kill loses at most the in-flight row.
-  const std::string part_path = spool.PartPath(item.id, item.attempt);
-  std::ofstream part(part_path, std::ios::app);
-  JsonlResultSink part_sink(part);
-
-  std::atomic<std::uint64_t> item_rows{0};
-  HeartbeatThread heartbeat;
-  heartbeat.Start(spool.HeartbeatPath(item.id), options.heartbeat_sec,
-                  options.owner, [&item_rows] { return item_rows.load(); });
-
-  SweepOptions sweep_options;
-  sweep_options.threads = options.jobs;
-  sweep_options.sinks = {&part_sink};
-  sweep_options.trace_cache = trace_cache;
-  sweep_options.on_emit = [&](const SweepOutcome& outcome) {
-    (void)outcome;
-    part.flush();
-    item_rows.fetch_add(1);
-    const std::uint64_t total = total_rows->fetch_add(1) + 1;
-    if (options.throttle_ms > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(options.throttle_ms));
-    }
-    if (options.kill_after_rows > 0 && total >= options.kill_after_rows) {
-      // Injected death: no destructors, no finalization, lease left behind —
-      // exactly what SIGKILL mid-shard looks like to the spool.
-      std::_Exit(137);
-    }
-  };
-
-  const std::vector<SweepOutcome> outcomes = RunSweep(points, sweep_options);
-  heartbeat.Stop();
-
-  // Finalize: inherited + fresh rows in global index order, published
-  // atomically to done/ before the task file moves there.
-  std::map<std::uint64_t, ResultRow> rows = std::move(inherited);
-  for (const SweepOutcome& outcome : outcomes) {
-    rows[outcome.point.index] = outcome.row;
-  }
-  std::size_t error_rows = 0;
-  for (const auto& [index, row] : rows) {
-    (void)index;
-    if (IsErrorRow(row)) {
-      ++error_rows;
-    }
-  }
-
-  RunMeta run_meta;
-  run_meta.spec_name = meta.name;
-  run_meta.spec_hash = meta.spec_hash;
-  run_meta.git_sha = DefaultGitSha();
-  run_meta.created = NowUtc();
-  run_meta.host = HostName();
-  run_meta.points = rows.size();
-  std::ostringstream out;
-  out << RowToJson(MetaToRow(run_meta)) << "\n";
-  for (const auto& [index, row] : rows) {
-    (void)index;
-    out << RowToJson(row) << "\n";
-  }
-  std::string error;
-  if (!WriteFileAtomic(spool.RowsPath(item.id), out.str(), &error)) {
-    if (options.log != nullptr) {
-      *options.log << "sweepd-worker: " << item.id << ": " << error << "\n";
-    }
-    return;  // leave the lease; the dispatcher will requeue after expiry
-  }
-  part.close();
-  if (!spool.FinishItem(item, &error)) {
-    // Lease lost to a requeue while we were finishing.  The rows file is in
-    // place and deterministic, so the re-run converges to the same bytes.
-    ++summary->lost_leases;
-    if (options.log != nullptr) {
-      *options.log << "sweepd-worker: " << error << "\n";
-    }
-    return;
-  }
-
-  summary->rows += outcomes.size();
-  summary->error_rows += error_rows;
-  ResultRow event;
-  event.AddText("event", error_rows > 0 ? "shard_poisoned" : "shard_done");
-  event.AddText("item", item.id);
-  event.AddInt("attempt", item.attempt);
-  event.AddInt("rows", rows.size());
-  event.AddInt("error_rows", error_rows);
-  event.AddInt("owner", options.owner);
-  spool.AppendEvent(std::move(event));
-  if (options.log != nullptr) {
-    *options.log << "sweepd-worker: " << item.id << " done (" << rows.size()
-                 << " rows, " << error_rows << " errors)\n";
-  }
-}
-
-}  // namespace
-
-WorkerSummary RunWorkerLoop(const WorkerOptions& options) {
-  WorkerSummary summary;
-  Spool spool(options.spool_root);
-  std::string error;
-  const auto meta = spool.ReadMeta(&error);
-  if (!meta) {
-    if (options.log != nullptr) {
-      *options.log << "sweepd-worker: " << error << "\n";
-    }
-    return summary;
-  }
-  const auto spec = spool.LoadSpec(&error);
-  if (!spec) {
-    if (options.log != nullptr) {
-      *options.log << "sweepd-worker: spec: " << error << "\n";
-    }
-    return summary;
-  }
-  WorkerOptions resolved = options;
-  if (resolved.owner == 0) {
-    resolved.owner = static_cast<std::uint64_t>(::getpid());
-  }
-  std::unique_ptr<TraceCache> trace_cache;
-  if (!resolved.trace_cache_dir.empty()) {
-    trace_cache = std::make_unique<TraceCache>(resolved.trace_cache_dir);
-  }
-
-  std::atomic<std::uint64_t> total_rows{0};
-  while (true) {
-    auto item = spool.Claim(resolved.owner, &error);
-    if (!item) {
-      if (!error.empty() && options.log != nullptr) {
-        *options.log << "sweepd-worker: claim: " << error << "\n";
-      }
-      break;  // queue drained (or unreadable): this worker is finished
-    }
-    ++summary.items;
-    RunOneItem(spool, *meta, *spec, *item, resolved, trace_cache.get(),
-               &total_rows, &summary);
-  }
-  return summary;
-}
 
 namespace {
 
@@ -274,15 +94,19 @@ class RemoteHeartbeat {
   }
 
  private:
+  // The grant wrote the first heartbeat, so the first beat waits one
+  // interval.
   void Loop() {
     while (true) {
-      Beat();
-      std::unique_lock<std::mutex> lock(mu_);
-      wake_.wait_for(lock, std::chrono::duration<double>(interval_sec_),
-                     [this] { return stopping_; });
-      if (stopping_ || lease_lost_->load()) {
-        return;
+      {
+        std::unique_lock<std::mutex> lock(mu_);
+        wake_.wait_for(lock, std::chrono::duration<double>(interval_sec_),
+                       [this] { return stopping_; });
+        if (stopping_ || lease_lost_->load()) {
+          return;
+        }
       }
+      Beat();
     }
   }
 
@@ -477,12 +301,15 @@ void RunOneRemoteItem(const ResultRow& grant, const RemoteWorkerOptions& options
 
 }  // namespace
 
+std::string DefaultWorkerName(long pid) {
+  return HostName() + ":" + std::to_string(pid);
+}
+
 RemoteWorkerSummary RunRemoteWorkerLoop(const RemoteWorkerOptions& options) {
   RemoteWorkerSummary summary;
   RemoteWorkerOptions resolved = options;
   if (resolved.worker_name.empty()) {
-    resolved.worker_name =
-        HostName() + ":" + std::to_string(static_cast<long>(::getpid()));
+    resolved.worker_name = DefaultWorkerName(::getpid());
   }
   // Distinct default jitter seeds keep a fleet's retry backoffs unsynchronized
   // even when every worker launched with the same command line.

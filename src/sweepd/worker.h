@@ -1,19 +1,26 @@
-// Worker process loop: claim shards from a spool, run them, stream rows.
+// The sweep worker loop (`work --connect HOST:PORT`).
 //
-// A worker is stateless by design — everything it needs (the canonical
-// spec, the shard arithmetic, a trace cache) is either in the spool or
-// derivable, so any number of workers on any machine sharing the spool
-// filesystem can serve one sweep, and a freshly respawned worker can pick
-// up where a dead one stopped: the dead worker's streamed part file is
-// read back, already-completed points are skipped, and only the remainder
-// is simulated.  Point results are deterministic, so a re-run of the same
-// point (duplicated work after a lease expires spuriously) merges away as
-// an exact-duplicate row.
+// A worker is stateless by design: it speaks the dispatcher's HTTP lease
+// protocol and never touches the spool.  POST /lease claims an item (the
+// response carries the spec text verbatim and the resume set), a background
+// thread POSTs /heartbeat, result rows are uploaded in chunks via POST
+// /results (idempotent server-side, so chunks are retried blindly), and POST
+// /done finalizes.  The dispatcher's own local pool runs these same workers
+// over loopback, so one loop serves local and remote sweeps alike.  A worker
+// that takes over a dead one's item skips the points its predecessor already
+// uploaded; point results are deterministic, so a re-run of the same point
+// merges away as an exact-duplicate row.
+//
+// Partition tolerance is the worker's half of the protocol: every request
+// runs under connect/read deadlines with bounded exponential backoff, an
+// HTTP 410 on any request means the lease was forfeited (stop work on the
+// item, claim the next — whatever was uploaded is inherited by the next
+// owner), and a dispatcher that stays unreachable through the retry budget
+// ends the loop rather than spinning forever.
 //
 // Failed points become `_error` rows (the sweep engine's fault
 // classification) rather than killing the shard; a shard that carries any
-// is "poisoned" and the worker's exit status says so, so a dispatcher can
-// retry exactly those points.
+// is "poisoned" and the worker's exit status says so.
 #ifndef MOBISIM_SRC_SWEEPD_WORKER_H_
 #define MOBISIM_SRC_SWEEPD_WORKER_H_
 
@@ -25,57 +32,11 @@
 
 namespace mobisim {
 
-struct WorkerOptions {
-  std::string spool_root;
-  std::size_t jobs = 1;       // simulation threads inside this worker
-  std::uint64_t owner = 0;    // heartbeat owner id; 0 = getpid()
-  std::string trace_cache_dir;
-  double heartbeat_sec = 1.0;
-  std::ostream* log = nullptr;  // per-item progress lines; null = quiet
-
-  // Test hooks, used by the crash-recovery tests and the CI smoke job:
-  // sleep after each emitted row (so a status poll can observe a live run),
-  // and die via _Exit after emitting N rows in total — indistinguishable
-  // from `kill -9` at the spool level: the lease goes stale, the part file
-  // ends mid-shard, nothing is finalized.
-  std::size_t throttle_ms = 0;
-  std::size_t kill_after_rows = 0;  // 0 = never
-
-  static constexpr int kExitClean = 0;
-  static constexpr int kExitPoisoned = 3;  // finished, but with _error rows
-};
-
-struct WorkerSummary {
-  std::size_t items = 0;
-  std::size_t rows = 0;        // rows this worker simulated and streamed
-  std::size_t resumed = 0;     // rows inherited from dead predecessors
-  std::size_t error_rows = 0;  // poisoned points among its own rows
-  std::size_t lost_leases = 0;
-};
-
-// Claims and runs queued items until the queue is empty, then returns.
-// The process exit code should be kExitPoisoned when error_rows > 0.
-WorkerSummary RunWorkerLoop(const WorkerOptions& options);
-
-// --- remote mode (`work --connect HOST:PORT`) ---
-//
-// The same worker, speaking the dispatcher's HTTP lease protocol instead of
-// touching the spool: POST /lease to claim (the response carries the spec
-// text verbatim and the resume set), a background thread POSTing
-// /heartbeat, result rows uploaded in chunks via POST /results (idempotent
-// server-side, so chunks are retried blindly), POST /done to finalize.
-//
-// Partition tolerance is the worker's half of the protocol: every request
-// runs under connect/read deadlines with bounded exponential backoff, an
-// HTTP 410 on any request means the lease was forfeited (stop work on the
-// item, claim the next — whatever was uploaded is inherited by the next
-// owner), and a dispatcher that stays unreachable through the retry budget
-// ends the loop rather than spinning forever.
 struct RemoteWorkerOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
   std::size_t jobs = 1;
-  std::string worker_name;  // self-reported in /lease; default host:pid
+  std::string worker_name;  // self-reported in /lease; DefaultWorkerName()
   std::string trace_cache_dir;
   double heartbeat_sec = 1.0;
   double poll_sec = 0.5;        // wait between /lease polls while queue is empty
@@ -84,9 +45,12 @@ struct RemoteWorkerOptions {
   NetFaultConfig net_fault;     // injected drops/delays/duplicates (tests, CI)
   std::ostream* log = nullptr;
 
-  // Same test hooks as the local worker (see WorkerOptions).
+  // Test hooks, used by the crash-recovery tests and the CI jobs: sleep
+  // after each emitted row (so a status poll can observe a live run), and
+  // die via _Exit(137) after N rows in total: no /done, no unwinding, the
+  // same as `kill -9` to the dispatcher.
   std::size_t throttle_ms = 0;
-  std::size_t kill_after_rows = 0;  // _Exit(137) after N rows, like kill -9
+  std::size_t kill_after_rows = 0;  // 0 = never
 
   static constexpr int kExitClean = 0;
   static constexpr int kExitPoisoned = 3;     // finished, but with _error rows
@@ -104,7 +68,14 @@ struct RemoteWorkerSummary {
   bool unreachable = false;  // loop ended because the dispatcher vanished
 };
 
+// Leases and runs items until the dispatcher answers "drained" (or stays
+// unreachable).  The process exit code follows the summary: kExitUnreachable,
+// else kExitPoisoned when error_rows > 0, else kExitClean.
 RemoteWorkerSummary RunRemoteWorkerLoop(const RemoteWorkerOptions& options);
+
+// "host:pid", the name a worker reports in /lease unless given one.  The
+// dispatcher uses it to find the leases a dead child of its own held.
+std::string DefaultWorkerName(long pid);
 
 }  // namespace mobisim
 

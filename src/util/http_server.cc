@@ -156,7 +156,9 @@ bool HttpServer::Start(std::uint16_t port, bool bind_any, Handler handler,
   Stop();
   handler_ = std::move(handler);
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  // Close-on-exec: a forked worker must not hold the listening socket, or an
+  // accepted connection whose close the client waits on, past its exec.
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     if (error != nullptr) {
       *error = std::string("socket: ") + std::strerror(errno);
@@ -209,7 +211,7 @@ void HttpServer::Stop() {
 
 void HttpServer::AcceptLoop(int listen_fd) {
   while (true) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR) {
         continue;

@@ -115,6 +115,17 @@ TEST(ResultIoMetaTest, MetaRowRoundTripsThroughJson) {
   // Data rows are not mistaken for metadata.
   EXPECT_FALSE(IsMetaRow(MakeRow(0, 0.4, 1, 0, 1.0, 1.0)));
   EXPECT_FALSE(MetaFromRow(MakeRow(0, 0.4, 1, 0, 1.0, 1.0)).has_value());
+
+  // A header whose point count is not a count is refused, not cast.
+  for (const char* bad : {"-1", "2.5", "1e300"}) {
+    ResultRow hostile = MetaToRow(meta);
+    for (ResultField& field : hostile.fields) {
+      if (field.key == "points") {
+        field.value = bad;
+      }
+    }
+    EXPECT_FALSE(MetaFromRow(hostile).has_value()) << bad;
+  }
 }
 
 TEST(BenchDbTest, StoreLoadIndexRoundTrip) {
@@ -399,6 +410,24 @@ TEST(BenchdiffTest, RefusesMismatchedSpecsUnlessForced) {
   const DiffReport mismatched = DiffRuns(base, truncated, options);
   EXPECT_FALSE(mismatched.comparable);
   EXPECT_NE(mismatched.incomparable_reason.find("point counts"), std::string::npos);
+}
+
+TEST(BenchdiffTest, RowsWithoutAValidPointIndexAreIncomparable) {
+  const StoredRun base = MakeRun("sha1", MakeReplicatedRows());
+  DiffOptions options;
+  options.metrics = {"total_energy_j"};
+  for (const char* bad : {"-1", "1.5", "1e300"}) {
+    StoredRun cand = MakeRun("sha2", MakeReplicatedRows());
+    for (ResultField& field : cand.rows.back().fields) {
+      if (field.key == "point") {
+        field.value = bad;
+      }
+    }
+    const DiffReport report = DiffRuns(base, cand, options);
+    EXPECT_FALSE(report.comparable) << bad;
+    EXPECT_NE(report.incomparable_reason.find("point index"), std::string::npos)
+        << report.incomparable_reason;
+  }
 }
 
 TEST(BenchdiffTest, AbsentMetricsAreSkippedNotMisread) {

@@ -1,9 +1,10 @@
 // Tests for the sweepd subsystem: spool lifecycle and claim semantics,
 // shard-spec validation, merge conflict rules, worker resume after an
 // injected mid-shard death (byte-identical merged output vs a serial run),
-// dispatcher retry/exhaustion of poisoned points, the incremental bench_db
-// merge, and the heartbeat + HTTP status plumbing.
-#include <atomic>
+// dispatcher retry/exhaustion of poisoned points, the dispatcher's real
+// `work --connect` children, the incremental bench_db merge, the heartbeat
+// + HTTP status plumbing, and rejection of malformed counts.
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -150,6 +151,21 @@ TEST(WorkItemTest, JsonRoundTrip) {
   EXPECT_EQ(back->shards, item.shards);
   EXPECT_EQ(back->points, item.points);
   EXPECT_EQ(back->attempt, item.attempt);
+}
+
+TEST(WorkItemTest, RejectsCountsThatAreNotNonNegativeIntegers) {
+  std::string error;
+  for (const char* bad : {R"({"id":"s","attempt":-1})", R"({"id":"s","shard":1.5})",
+                          R"({"id":"s","shards":1e300})", R"({"id":"s","attempt":"2"})"}) {
+    error.clear();
+    EXPECT_FALSE(WorkItemFromJson(bad, &error).has_value()) << bad;
+    EXPECT_NE(error.find("non-negative integers"), std::string::npos) << error;
+  }
+  // Absent fields keep their defaults.
+  const auto item = WorkItemFromJson(R"({"id":"s"})", &error);
+  ASSERT_TRUE(item.has_value()) << error;
+  EXPECT_EQ(item->shards, 1u);
+  EXPECT_EQ(item->attempt, 0u);
 }
 
 // --- Spool lifecycle -----------------------------------------------------
@@ -319,7 +335,61 @@ TEST(MergeTest, LoadPartialRowsSkipsTornTailAndHeader) {
   EXPECT_EQ(rows[0].Text("payload"), "ok");
 }
 
+TEST(MergeTest, PointIndexRejectsFractionalNegativeAndHugeValues) {
+  std::string error;
+  const auto index_of = [&error](const std::string& json) {
+    const auto row = RowFromJson(json, &error);
+    EXPECT_TRUE(row.has_value()) << error;
+    return PointIndexOf(*row);
+  };
+  EXPECT_EQ(index_of(R"({"point":7})"), std::optional<std::uint64_t>(7));
+  EXPECT_FALSE(index_of(R"({"point":1.5})").has_value());
+  EXPECT_FALSE(index_of(R"({"point":-1})").has_value());
+  EXPECT_FALSE(index_of(R"({"point":1e300})").has_value());
+  EXPECT_FALSE(index_of(R"({"point":"3"})").has_value());
+  EXPECT_FALSE(index_of(R"({"payload":"x"})").has_value());
+}
+
 // --- Worker: clean run matches serial, kill mid-shard resumes ------------
+
+// The dispatcher publishes its (ephemeral) port to <root>/http.port once the
+// endpoint is listening.
+std::uint16_t WaitForPortFile(const std::string& root) {
+  for (int i = 0; i < 1000; ++i) {
+    std::ifstream in(root + "/http.port");
+    int port = 0;
+    if (in >> port && port > 0 && port <= 65535) {
+      return static_cast<std::uint16_t>(port);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ADD_FAILURE() << "dispatcher never published its port";
+  return 0;
+}
+
+// A dispatcher thread with no local children, plus one in-process worker
+// over loopback until the dispatcher drains the spool.
+struct LoopbackRun {
+  DispatchSummary dispatch;
+  RemoteWorkerSummary worker;
+};
+
+LoopbackRun RunLoopbackSweep(const std::string& root, std::size_t retry_budget = 1) {
+  DispatcherOptions options;
+  options.spool_root = root;
+  options.workers = 0;
+  options.retry_budget = retry_budget;
+  options.poll_sec = 0.02;
+  LoopbackRun run;
+  std::thread dispatcher([&] { run.dispatch = RunDispatcher(options); });
+  RemoteWorkerOptions worker;
+  worker.port = WaitForPortFile(root);
+  worker.poll_sec = 0.02;
+  worker.heartbeat_sec = 0.05;
+  run.worker = RunRemoteWorkerLoop(worker);
+  dispatcher.join();
+  return run;
+}
 
 TEST(WorkerTest, DrainsSpoolAndMatchesSerialRun) {
   const std::string root = FreshDir("workerclean");
@@ -327,13 +397,12 @@ TEST(WorkerTest, DrainsSpoolAndMatchesSerialRun) {
   std::string error;
   ASSERT_TRUE(Spool::Create(root, kTinySpec, "tiny", 3, &error).has_value()) << error;
 
-  WorkerOptions options;
-  options.spool_root = root;
-  options.owner = 1;
-  const WorkerSummary summary = RunWorkerLoop(options);
-  EXPECT_EQ(summary.items, 3u);
-  EXPECT_EQ(summary.rows, 4u);
-  EXPECT_EQ(summary.error_rows, 0u);
+  const LoopbackRun run = RunLoopbackSweep(root);
+  EXPECT_EQ(run.worker.items, 3u);
+  EXPECT_EQ(run.worker.rows, 4u);
+  EXPECT_EQ(run.worker.error_rows, 0u);
+  EXPECT_TRUE(run.worker.drained);
+  EXPECT_TRUE(run.dispatch.complete);
 
   Spool spool(root);
   EXPECT_EQ(spool.CountItems().done, 3u);
@@ -353,13 +422,10 @@ TEST(WorkerTest, PolicyGridShardsMergeByteIdenticalToSerial) {
   ASSERT_TRUE(Spool::Create(root, kPolicyGridSpec, "grid", 4, &error).has_value())
       << error;
 
-  WorkerOptions options;
-  options.spool_root = root;
-  options.owner = 2;
-  const WorkerSummary summary = RunWorkerLoop(options);
-  EXPECT_EQ(summary.items, 4u);
-  EXPECT_EQ(summary.rows, 6u);
-  EXPECT_EQ(summary.error_rows, 0u);
+  const LoopbackRun run = RunLoopbackSweep(root);
+  EXPECT_EQ(run.worker.items, 4u);
+  EXPECT_EQ(run.worker.rows, 6u);
+  EXPECT_EQ(run.worker.error_rows, 0u);
 
   const std::vector<std::string> merged = MergedRowsJson(root);
   EXPECT_EQ(merged, SerialRowsJson(kPolicyGridSpec));
@@ -377,20 +443,38 @@ TEST(WorkerTest, KilledWorkerLeavesLeaseAndSuccessorResumes) {
   // One shard holding all four points, so the kill lands mid-shard.
   ASSERT_TRUE(Spool::Create(root, kTinySpec, "tiny", 1, &error).has_value()) << error;
 
-  // The doomed worker runs in a fork so its _Exit(137) — a faithful SIGKILL
-  // stand-in: no destructors, no finalization — cannot take the test down.
-  const pid_t pid = fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    WorkerOptions options;
+  // The dispatcher and the doomed worker run in forks, both forked before
+  // this process starts any thread.  The lease deadline is far away: the
+  // dead worker's lease stays put until the test requeues it.
+  const pid_t dispatcher_pid = fork();
+  ASSERT_GE(dispatcher_pid, 0);
+  if (dispatcher_pid == 0) {
+    DispatcherOptions options;
     options.spool_root = root;
-    options.owner = 77;
-    options.kill_after_rows = 2;
-    RunWorkerLoop(options);
+    options.workers = 0;
+    options.poll_sec = 0.02;
+    options.lease_sec = 30.0;
+    const DispatchSummary summary = RunDispatcher(options);
+    _exit(summary.complete && summary.shards_failed == 0 ? 0 : 1);
+  }
+  const std::uint16_t port = WaitForPortFile(root);
+
+  // chunk_rows = 1 uploads every row at once, so the two rows emitted before
+  // _Exit(137) — a faithful SIGKILL stand-in: no /done, no destructors —
+  // reach the part file.
+  const pid_t doomed_pid = fork();
+  ASSERT_GE(doomed_pid, 0);
+  if (doomed_pid == 0) {
+    RemoteWorkerOptions doomed;
+    doomed.port = port;
+    doomed.poll_sec = 0.02;
+    doomed.chunk_rows = 1;
+    doomed.kill_after_rows = 2;
+    RunRemoteWorkerLoop(doomed);
     _exit(0);  // not reached: the kill hook fires first
   }
   int status = 0;
-  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_EQ(waitpid(doomed_pid, &status, 0), doomed_pid);
   ASSERT_TRUE(WIFEXITED(status));
   ASSERT_EQ(WEXITSTATUS(status), 137);
 
@@ -402,19 +486,26 @@ TEST(WorkerTest, KilledWorkerLeavesLeaseAndSuccessorResumes) {
   ASSERT_EQ(parts.size(), 1u);
   EXPECT_EQ(LoadPartialRows(parts[0]).size(), 2u);
 
-  // Dispatcher-style recovery: requeue, then a fresh worker claims it and
-  // resumes from the dead worker's rows instead of re-simulating them.
+  // Recovery: requeue, then a fresh worker leases it and resumes from the
+  // dead worker's rows instead of re-simulating them.
   const auto item = spool.ReadItem("running", "shard-0000", &error);
   ASSERT_TRUE(item.has_value()) << error;
   ASSERT_TRUE(spool.Requeue(*item, &error)) << error;
 
-  WorkerOptions options;
-  options.spool_root = root;
-  options.owner = 78;
-  const WorkerSummary summary = RunWorkerLoop(options);
+  RemoteWorkerOptions successor;
+  successor.port = port;
+  successor.poll_sec = 0.02;
+  successor.heartbeat_sec = 0.05;
+  successor.chunk_rows = 1;
+  const RemoteWorkerSummary summary = RunRemoteWorkerLoop(successor);
   EXPECT_EQ(summary.items, 1u);
-  EXPECT_EQ(summary.resumed, 2u);
+  EXPECT_EQ(summary.inherited, 2u);
   EXPECT_EQ(summary.rows, 2u);
+  EXPECT_TRUE(summary.drained);
+
+  ASSERT_EQ(waitpid(dispatcher_pid, &status, 0), dispatcher_pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 
   // The merged output is byte-identical to the serial run: same rows, no
   // duplicates, global point order.
@@ -430,32 +521,10 @@ TEST(DispatcherTest, RetriesPoisonedPointsUntilBudgetExhausted) {
   ASSERT_TRUE(Spool::Create(root, kPoisonSpec, "poison", 2, &error).has_value())
       << error;
 
-  // No spawned workers (worker_binary stays unresolvable): the dispatcher
-  // only enforces leases and retries; the worker loop runs here, in-process,
-  // exactly as an externally attached worker would.
-  DispatcherOptions options;
-  options.spool_root = root;
-  options.workers = 0;
-  options.worker_binary = "/nonexistent/worker";
-  options.retry_budget = 1;
-  options.poll_sec = 0.02;
-
-  std::atomic<bool> done{false};
-  DispatchSummary summary;
-  std::thread dispatcher([&] {
-    summary = RunDispatcher(options);
-    done.store(true);
-  });
-  std::uint64_t owner = 1;
-  while (!done.load()) {
-    WorkerOptions worker;
-    worker.spool_root = root;
-    worker.owner = ++owner;
-    RunWorkerLoop(worker);
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  dispatcher.join();
-
+  // No spawned children: the dispatcher enforces leases and enqueues the
+  // retry; one attached worker runs every item, retries included.
+  const LoopbackRun run = RunLoopbackSweep(root, /*retry_budget=*/1);
+  const DispatchSummary& summary = run.dispatch;
   EXPECT_TRUE(summary.complete);
   EXPECT_EQ(summary.points_done, 2u);
   EXPECT_EQ(summary.error_points, 1u);  // deterministic fault: retry re-fails
@@ -470,6 +539,82 @@ TEST(DispatcherTest, RetriesPoisonedPointsUntilBudgetExhausted) {
   EXPECT_EQ(merged->stats.error_rows, 1u);
 }
 
+// --- Dispatcher: its own `work --connect` children ------------------------
+
+std::string Slurp(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+// Runs `command` through the shell; returns its exit status and fills
+// `output` with its stdout and stderr.
+int RunCommand(const std::string& command, std::string* output) {
+  FILE* pipe = ::popen((command + " 2>&1").c_str(), "r");
+  if (pipe == nullptr) {
+    return -1;
+  }
+  char buf[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), pipe)) > 0) {
+    output->append(buf, n);
+  }
+  const int status = ::pclose(pipe);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(DispatcherTest, DeadChildForfeitsItsLeaseAtOnce) {
+  const std::string root = FreshDir("children");
+  std::filesystem::remove_all(root);
+  std::string error;
+  ASSERT_TRUE(Spool::Create(root, kTinySpec, "tiny", 2, &error).has_value()) << error;
+
+  // Two real children; the first dies after two rows, i.e. inside its first
+  // two-point shard and before /done.  The throttle keeps both children busy
+  // long enough that each leases one shard.  With a 30 s lease, only the
+  // reaped child's name can have requeued its item in time.
+  DispatcherOptions options;
+  options.spool_root = root;
+  options.workers = 2;
+  options.worker_binary = MOBISIM_SWEEPD_BINARY;
+  options.poll_sec = 0.02;
+  options.lease_sec = 30.0;
+  options.throttle_ms = 250;
+  options.kill_first_worker_after_rows = 2;
+  const auto start = std::chrono::steady_clock::now();
+  const DispatchSummary summary = RunDispatcher(options);
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+
+  EXPECT_TRUE(summary.complete);
+  EXPECT_EQ(summary.shards_failed, 0u);
+  EXPECT_EQ(summary.requeues, 1u);
+  EXPECT_GE(summary.workers_spawned, 2u);
+  EXPECT_LT(elapsed, options.lease_sec / 2);
+
+  bool died = false;
+  std::istringstream events(Slurp(Spool(root).EventsPath()));
+  std::string line;
+  while (std::getline(events, line)) {
+    const auto event = RowFromJson(line, &error);
+    ASSERT_TRUE(event.has_value()) << error;
+    died = died || (event->Text("event") == "shard_requeued" &&
+                    event->Text("why") == "worker died");
+  }
+  EXPECT_TRUE(died);
+  EXPECT_EQ(MergedRowsJson(root), SerialRowsJson(kTinySpec));
+}
+
+TEST(DispatcherTest, WorkWithoutConnectIsAUsageError) {
+  for (const std::string args : {"work", "work --spool /nonexistent/spool"}) {
+    std::string output;
+    EXPECT_EQ(RunCommand(std::string(MOBISIM_SWEEPD_BINARY) + " " + args, &output), 2)
+        << args;
+    EXPECT_NE(output.find("--connect"), std::string::npos) << output;
+  }
+}
+
 // --- bench_db incremental merge ------------------------------------------
 
 RunMeta DbMeta(const std::string& name, const std::string& hash) {
@@ -480,13 +625,6 @@ RunMeta DbMeta(const std::string& name, const std::string& hash) {
   meta.created = "2026-01-01T00:00:00Z";
   meta.host = "host";
   return meta;
-}
-
-std::string Slurp(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 TEST(BenchDbMergeTest, UnionsShardsIdempotently) {
@@ -540,7 +678,7 @@ TEST(BenchDbMergeTest, UnionsShardsIdempotently) {
 
 // --- heartbeat + HTTP plumbing -------------------------------------------
 
-TEST(HeartbeatTest, WriteReadAndThread) {
+TEST(HeartbeatTest, WriteAndRead) {
   const std::string dir = FreshDir("heartbeat");
   const std::string path = dir + "/x.hb";
   ASSERT_TRUE(WriteHeartbeat(path, {7, 42}));
@@ -555,16 +693,6 @@ TEST(HeartbeatTest, WriteReadAndThread) {
   EXPECT_FALSE(ReadHeartbeat(dir + "/missing.hb").has_value());
   EXPECT_FALSE(SecondsSinceModified(dir + "/missing.hb").has_value());
 
-  std::atomic<std::uint64_t> counter{0};
-  HeartbeatThread thread;
-  thread.Start(path, 0.01, 99, [&counter] { return counter.load(); });
-  counter.store(5);
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  thread.Stop();  // final beat on stop
-  const auto last = ReadHeartbeat(path);
-  ASSERT_TRUE(last.has_value());
-  EXPECT_EQ(last->owner, 99u);
-  EXPECT_EQ(last->counter, 5u);
 }
 
 TEST(HttpServerTest, ServesHandlerAndNotFound) {
@@ -605,19 +733,14 @@ TEST(DispatcherTest, StatusRowCountsSpoolStates) {
   const auto meta = spool.ReadMeta(&error);
   ASSERT_TRUE(meta.has_value()) << error;
 
-  // Run one shard to done; claim one and leave it running with a part row.
-  WorkerOptions worker;
-  worker.spool_root = root;
-  worker.owner = 1;
+  // One shard goes through a claim and a requeue first; then an attached
+  // worker drains the whole queue.
   {
     auto item = spool.Claim(1, &error);
     ASSERT_TRUE(item.has_value()) << error;
-    // Complete shard-0000 properly via a scoped one-item worker: requeue it
-    // first so the worker loop can claim it.
     ASSERT_TRUE(spool.Requeue(*item, &error)) << error;
   }
-  // Worker drains the whole queue.
-  RunWorkerLoop(worker);
+  RunLoopbackSweep(root);
 
   const ResultRow row = SpoolStatusRow(spool, *meta, 2.0);
   EXPECT_EQ(row.Number("shards_done", -1), 4.0);
@@ -686,21 +809,6 @@ ResultRow ResponseRow(const HttpResponse& response) {
   return row.value_or(ResultRow{});
 }
 
-// The dispatcher publishes its (ephemeral) port to <root>/http.port once the
-// endpoint is listening.
-std::uint16_t WaitForPortFile(const std::string& root) {
-  for (int i = 0; i < 1000; ++i) {
-    std::ifstream in(root + "/http.port");
-    int port = 0;
-    if (in >> port && port > 0 && port <= 65535) {
-      return static_cast<std::uint16_t>(port);
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  ADD_FAILURE() << "dispatcher never published its port";
-  return 0;
-}
-
 TEST(RemoteWorkerTest, CleanRemoteSweepMatchesSerial) {
   const std::string root = FreshDir("remoteclean");
   std::filesystem::remove_all(root);
@@ -709,9 +817,7 @@ TEST(RemoteWorkerTest, CleanRemoteSweepMatchesSerial) {
 
   DispatcherOptions options;
   options.spool_root = root;
-  options.workers = 0;  // remote-only: every shard must travel the lease API
-  options.worker_binary = "/nonexistent/worker";
-  options.http_port = 0;
+  options.workers = 0;  // no local children: this test is the only worker
   options.poll_sec = 0.02;
   DispatchSummary dispatch;
   std::thread dispatcher([&] { dispatch = RunDispatcher(options); });
@@ -744,8 +850,6 @@ TEST(RemoteWorkerTest, FaultInjectedSweepStillMatchesSerial) {
   DispatcherOptions options;
   options.spool_root = root;
   options.workers = 0;
-  options.worker_binary = "/nonexistent/worker";
-  options.http_port = 0;
   options.poll_sec = 0.02;
   // A duplicated /lease request claims a shard nobody works on; its lease
   // must expire and requeue, so keep the deadline tight and the budget deep.
@@ -792,8 +896,6 @@ TEST(RemoteWorkerTest, KilledWorkerRequeuesAndSuccessorConverges) {
   DispatcherOptions options;
   options.spool_root = root;
   options.workers = 0;
-  options.worker_binary = "/nonexistent/worker";
-  options.http_port = 0;
   options.poll_sec = 0.02;
   options.lease_sec = 0.4;  // the dead worker's lease must expire quickly
   options.retry_budget = 2;
@@ -968,6 +1070,36 @@ TEST(LeaseServiceTest, LateUploadAfterRequeueGets410WithoutCorruption) {
   response = service.Handle(PostRequest("/lease", ""));
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(ResponseRow(*response).Text("state"), "drained");
+}
+
+TEST(LeaseServiceTest, HeartbeatRejectsRowCountsThatAreNotCounts) {
+  const std::string root = FreshDir("leasebadrows");
+  std::filesystem::remove_all(root);
+  std::string error;
+  ASSERT_TRUE(Spool::Create(root, kTinySpec, "tiny", 1, &error).has_value()) << error;
+  Spool spool(root);
+  const auto meta = spool.ReadMeta(&error);
+  ASSERT_TRUE(meta.has_value()) << error;
+  const auto spec_text = spool.ReadSpecText(&error);
+  ASSERT_TRUE(spec_text.has_value()) << error;
+  LeaseService service(&spool, *meta, *spec_text, {});
+
+  const auto response = service.Handle(PostRequest("/lease", "{\"worker\":\"t\"}"));
+  ASSERT_TRUE(response.has_value());
+  const std::string token = ResponseRow(*response).Text("token");
+  ASSERT_FALSE(token.empty());
+  const auto beat = [&](const std::string& rows) {
+    const auto answer = service.Handle(PostRequest(
+        "/heartbeat", "{\"token\":\"" + token + "\",\"rows\":" + rows + "}"));
+    return answer ? answer->status : 0;
+  };
+  EXPECT_EQ(beat("-1"), 400);
+  EXPECT_EQ(beat("1e300"), 400);
+  EXPECT_EQ(beat("2.5"), 400);
+  EXPECT_EQ(beat("3"), 200);
+  const auto record = ReadHeartbeat(spool.HeartbeatPath("shard-0000"));
+  ASSERT_TRUE(record.has_value());
+  EXPECT_EQ(record->counter, 3u);
 }
 
 TEST(LeaseServiceTest, ExpectedItemPointsCoversShardsAndRetryLists) {
