@@ -15,7 +15,7 @@
 
 #include "src/core/simulator.h"
 #include "src/device/device_catalog.h"
-#include "src/device/geometric_disk.h"
+#include "src/device/magnetic_disk.h"
 #include "src/runner/bench_registry.h"
 #include "src/util/table.h"
 

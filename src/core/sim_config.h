@@ -6,7 +6,7 @@
 
 #include "src/device/device_catalog.h"
 #include "src/device/device_spec.h"
-#include "src/device/geometric_disk.h"
+#include "src/device/storage_device.h"
 #include "src/fault/fault.h"
 #include "src/flash/ftl_policy.h"
 #include "src/flash/segment_manager.h"

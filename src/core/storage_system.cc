@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/device/geometric_disk.h"
 #include "src/util/check.h"
 
 namespace mobisim {
@@ -50,10 +49,9 @@ StorageSystem::StorageSystem(const SimConfig& config, std::uint64_t trace_blocks
   }
 
   if (config.device.kind == DeviceKind::kMagneticDisk && config.use_disk_geometry) {
-    device_ = std::make_unique<GeometricDisk>(config.device, config.disk_geometry, options);
-  } else {
-    device_ = CreateDevice(config.device, options);
+    options.geometry = config.disk_geometry;
   }
+  device_ = CreateDevice(config.device, options);
   device_->Preload(trace_blocks, config.flash_utilization, config.interleave_prefill);
 }
 

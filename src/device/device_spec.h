@@ -43,6 +43,30 @@ struct NandTopology {
   std::uint32_t block_bytes() const { return page_bytes * pages_per_block; }
 };
 
+// Cylinder/head/sector layout and positioning costs of a magnetic disk, for
+// MagneticDisk's geometry positioning mode (presets in magnetic_disk.h).
+struct DiskGeometry {
+  std::uint32_t cylinders = 980;
+  std::uint32_t heads = 4;
+  std::uint32_t sectors_per_track = 56;
+  std::uint32_t sector_bytes = 512;
+  double rpm = 3600.0;
+  // Seek time over a distance of d cylinders: a + b*sqrt(d) + c*d (0 for
+  // d == 0).
+  double seek_a_ms = 3.0;
+  double seek_b_ms = 0.5;
+  double seek_c_ms = 0.008;
+  double head_switch_ms = 1.0;
+  double controller_ms = 0.5;
+
+  std::uint64_t total_sectors() const {
+    return static_cast<std::uint64_t>(cylinders) * heads * sectors_per_track;
+  }
+  std::uint64_t capacity_bytes() const { return total_sectors() * sector_bytes; }
+  double revolution_ms() const { return 60000.0 / rpm; }
+  double SeekMs(std::uint32_t distance_cylinders) const;
+};
+
 struct DeviceSpec {
   std::string name;
   DeviceKind kind = DeviceKind::kMagneticDisk;

@@ -1,10 +1,66 @@
 #include "src/device/magnetic_disk.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "src/util/check.h"
 
 namespace mobisim {
+
+double DiskGeometry::SeekMs(std::uint32_t distance_cylinders) const {
+  if (distance_cylinders == 0) {
+    return 0.0;
+  }
+  return seek_a_ms + seek_b_ms * std::sqrt(static_cast<double>(distance_cylinders)) +
+         seek_c_ms * static_cast<double>(distance_cylinders);
+}
+
+DiskGeometry Cu140Geometry() {
+  // 40-Mbyte 2.5-inch drive: ~980 cylinders x 4 heads x 56 sectors gives
+  // ~107 MB raw; scale cylinders down to land near 40 MB formatted.
+  DiskGeometry g;
+  g.cylinders = 368;
+  g.heads = 4;
+  g.sectors_per_track = 56;
+  g.rpm = 3600.0;
+  g.seek_a_ms = 4.0;
+  g.seek_b_ms = 1.0;
+  g.seek_c_ms = 0.02;
+  return g;
+}
+
+DiskGeometry KittyhawkGeometry() {
+  // 20-Mbyte 1.3-inch drive: fewer, shorter tracks and slower positioning.
+  DiskGeometry g;
+  g.cylinders = 560;
+  g.heads = 2;
+  g.sectors_per_track = 36;
+  g.rpm = 3200.0;
+  g.seek_a_ms = 6.0;
+  g.seek_b_ms = 1.6;
+  g.seek_c_ms = 0.03;
+  g.head_switch_ms = 1.5;
+  return g;
+}
+
+namespace {
+
+struct Chs {
+  std::uint32_t cylinder = 0;
+  std::uint32_t head = 0;
+  std::uint32_t sector = 0;
+};
+
+Chs ToChs(const DiskGeometry& g, std::uint64_t sector_index) {
+  Chs chs;
+  const std::uint64_t per_cylinder = static_cast<std::uint64_t>(g.heads) * g.sectors_per_track;
+  chs.cylinder = static_cast<std::uint32_t>((sector_index / per_cylinder) % g.cylinders);
+  chs.head = static_cast<std::uint32_t>((sector_index % per_cylinder) / g.sectors_per_track);
+  chs.sector = static_cast<std::uint32_t>(sector_index % g.sectors_per_track);
+  return chs;
+}
+
+}  // namespace
 
 MagneticDisk::MagneticDisk(const DeviceSpec& spec, const DeviceOptions& options)
     : spec_(spec),
@@ -18,6 +74,10 @@ MagneticDisk::MagneticDisk(const DeviceSpec& spec, const DeviceOptions& options)
   MOBISIM_CHECK(spec.kind == DeviceKind::kMagneticDisk);
   ValidateDeviceSpec(spec, options);
   MOBISIM_CHECK(options.spin_down_after_us >= 0);
+  if (options.geometry) {
+    MOBISIM_CHECK(options.geometry->cylinders > 0 && options.geometry->heads > 0 &&
+                  options.geometry->sectors_per_track > 0);
+  }
   threshold_us_ = options.spin_down_after_us;
 }
 
@@ -90,18 +150,24 @@ SimTime MagneticDisk::ServiceOp(SimTime now, const BlockRecord& rec, bool is_rea
     t += spinup_us;
     spinning_ = true;
     ++counters_.spinups;
-    // The heads land wherever the drive parked them; the next access is a
-    // random one regardless of file locality.
+    // The heads start from the landing zone (cylinder 0 in the geometry
+    // model); the next access is a random one regardless of file locality.
     last_file_ = ~std::uint32_t{0};
+    head_cylinder_ = 0;
   }
 
-  const double overhead_ms = rec.file_id == last_file_
-                                 ? spec_.sequential_overhead_ms
-                                 : (is_read ? spec_.read_overhead_ms : spec_.write_overhead_ms);
   const std::uint64_t bytes =
       static_cast<std::uint64_t>(rec.block_count) * options_.block_bytes;
-  const SimTime service =
-      UsFromMs(overhead_ms) + TransferTimeUs(bytes, is_read ? spec_.read_kbps : spec_.write_kbps);
+  SimTime service;
+  if (options_.geometry) {
+    service = GeometryServiceUs(rec, bytes, t);
+  } else {
+    const double overhead_ms = rec.file_id == last_file_
+                                   ? spec_.sequential_overhead_ms
+                                   : (is_read ? spec_.read_overhead_ms : spec_.write_overhead_ms);
+    service = UsFromMs(overhead_ms) +
+              TransferTimeUs(bytes, is_read ? spec_.read_kbps : spec_.write_kbps);
+  }
   meter_.Accumulate(is_read ? kModeRead : kModeWrite, service);
   t += service;
 
@@ -118,6 +184,67 @@ SimTime MagneticDisk::ServiceOp(SimTime now, const BlockRecord& rec, bool is_rea
     counters_.bytes_written += bytes;
   }
   return t - now;
+}
+
+SimTime MagneticDisk::GeometryServiceUs(const BlockRecord& rec, std::uint64_t bytes,
+                                        SimTime start) {
+  const DiskGeometry& g = *options_.geometry;
+  const std::uint64_t first_sector = rec.lba * options_.block_bytes / g.sector_bytes;
+  const std::uint64_t sectors = (bytes + g.sector_bytes - 1) / g.sector_bytes;
+  const SimTime service = MechanicalTimeUs(first_sector % g.total_sectors(),
+                                           std::max<std::uint64_t>(sectors, 1), head_cylinder_,
+                                           start);
+  head_cylinder_ = ToChs(g, (first_sector + sectors - 1) % g.total_sectors()).cylinder;
+  return service;
+}
+
+SimTime MagneticDisk::MechanicalTimeUs(std::uint64_t sector, std::uint64_t sectors,
+                                       std::uint32_t current_cylinder,
+                                       SimTime start_time) const {
+  MOBISIM_CHECK(options_.geometry.has_value());
+  const DiskGeometry& g = *options_.geometry;
+  const Chs target = ToChs(g, sector);
+  const std::uint32_t distance = target.cylinder > current_cylinder
+                                     ? target.cylinder - current_cylinder
+                                     : current_cylinder - target.cylinder;
+  double time_ms = g.controller_ms + g.SeekMs(distance);
+
+  // Rotational latency: the platter's angular position advances continuously
+  // with wall-clock time; we wait for the target sector to come around after
+  // the seek completes.
+  const double rev_ms = g.revolution_ms();
+  const double sector_ms = rev_ms / g.sectors_per_track;
+  const double arrival_ms = MsFromUs(start_time) + time_ms;
+  const double angle_now = std::fmod(arrival_ms, rev_ms) / rev_ms;  // [0, 1)
+  const double angle_target = static_cast<double>(target.sector) / g.sectors_per_track;
+  double wait = angle_target - angle_now;
+  if (wait < 0.0) {
+    wait += 1.0;
+  }
+  time_ms += wait * rev_ms;
+
+  // Transfer, paying head switches and track-to-track seeks at boundaries.
+  std::uint64_t remaining = sectors;
+  Chs pos = target;
+  while (remaining > 0) {
+    const std::uint64_t in_track =
+        std::min<std::uint64_t>(remaining, g.sectors_per_track - pos.sector);
+    time_ms += static_cast<double>(in_track) * sector_ms;
+    remaining -= in_track;
+    if (remaining == 0) {
+      break;
+    }
+    pos.sector = 0;
+    if (pos.head + 1 < g.heads) {
+      ++pos.head;
+      time_ms += g.head_switch_ms;
+    } else {
+      pos.head = 0;
+      pos.cylinder = (pos.cylinder + 1) % g.cylinders;
+      time_ms += g.SeekMs(1);
+    }
+  }
+  return UsFromMs(time_ms);
 }
 
 // A disk has no logical state to corrupt, so a transiently-failed attempt is
@@ -152,6 +279,7 @@ SimTime MagneticDisk::PowerLoss(SimTime now) {
   busy_until_ = std::min(busy_until_, now);
   idle_since_ = std::min(idle_since_, now);
   last_file_ = ~std::uint32_t{0};
+  head_cylinder_ = 0;
   return 0;
 }
 

@@ -4,14 +4,26 @@
 // the disk idles (platters spinning) after each operation, spins down after
 // a configurable inactivity threshold (5 s in the paper), and pays a
 // spin-up delay and elevated spin-up power when the next operation arrives.
-// Seeks follow the paper's assumption: repeated accesses to the same file
-// need no seek, any other access pays the average random-access overhead.
+//
+// Positioning has two modes, chosen by DeviceOptions::geometry.  Unset, seeks
+// follow the paper's assumption: repeated accesses to the same file need no
+// seek, any other access pays the average random-access overhead.  Set, the
+// drive follows a detailed geometry model in the style of Ruemmler &
+// Wilkes' disk-modelling work the paper draws its hp traces from: LBAs map
+// to cylinder/head/sector; seeks follow an a + b*sqrt(d) + c*d curve over
+// cylinder distance; rotational latency is computed from the platter's
+// actual angular position at the end of the seek; transfers pay head-switch
+// and track-to-track costs when they cross track boundaries.
 #ifndef MOBISIM_SRC_DEVICE_MAGNETIC_DISK_H_
 #define MOBISIM_SRC_DEVICE_MAGNETIC_DISK_H_
 
 #include "src/device/storage_device.h"
 
 namespace mobisim {
+
+// Geometry presets sized to the paper's drives.
+DiskGeometry Cu140Geometry();
+DiskGeometry KittyhawkGeometry();
 
 class MagneticDisk : public StorageDevice {
  public:
@@ -35,12 +47,22 @@ class MagneticDisk : public StorageDevice {
   // Current spin-down threshold (fixed, or the adaptive policy's latest).
   SimTime spin_down_threshold_us() const { return threshold_us_; }
 
+  // Geometry mode only: mechanical time (us) to service `sectors` sectors
+  // starting at `sector`, with the heads currently at `current_cylinder`
+  // and the platter at the angular position implied by `start_time`.
+  // Exposed for tests.
+  SimTime MechanicalTimeUs(std::uint64_t sector, std::uint64_t sectors,
+                           std::uint32_t current_cylinder, SimTime start_time) const;
+
  private:
   enum Mode : std::size_t { kModeRead = 0, kModeWrite, kModeIdle, kModeSleep, kModeSpinup };
 
   // Accounts idle/sleep energy (including a spin-down transition) up to `t`.
   void AccountUntil(SimTime t);
   SimTime ServiceOp(SimTime now, const BlockRecord& rec, bool is_read);
+  // Geometry mode: positioning plus transfer for `rec` starting at `start`;
+  // moves the heads to the last cylinder touched.
+  SimTime GeometryServiceUs(const BlockRecord& rec, std::uint64_t bytes, SimTime start);
   // Adaptive policy: adjusts the threshold based on how long the completed
   // sleep lasted relative to the spin-up break-even time.
   void AdaptThreshold(SimTime sleep_duration_us);
@@ -58,7 +80,10 @@ class MagneticDisk : public StorageDevice {
   bool spinning_ = true;
   SimTime threshold_us_ = 0;
   SimTime slept_since_ = 0;  // when the current sleep began
+  // Average-cost mode: file of the previous access (same file, no seek).
   std::uint32_t last_file_ = ~std::uint32_t{0};
+  // Geometry mode: cylinder under the heads.
+  std::uint32_t head_cylinder_ = 0;
 };
 
 }  // namespace mobisim

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -149,6 +150,9 @@ struct DeviceOptions {
   // Adaptive-policy bounds on the threshold.
   SimTime adaptive_min_us = kUsPerSec / 2;
   SimTime adaptive_max_us = 60 * kUsPerSec;
+  // Magnetic disk positioning: set, seeks and rotation follow this geometry;
+  // unset, the paper's per-file average overheads apply (section 4.2).
+  std::optional<DiskGeometry> geometry;
   // Flash card: background cleaning keeps a segment erased ahead of writes;
   // on-demand cleans only when a write finds no free slot (section 4.2).
   bool background_cleaning = true;

@@ -26,55 +26,41 @@ BlockRecord MakeRecord(SimTime t, OpType op, std::uint64_t lba, std::uint32_t co
 FlashCacheSystem::FlashCacheSystem(const FlashCacheConfig& config)
     : config_(config), dram_(config.dram, config.dram_bytes, config.block_bytes) {
   MOBISIM_CHECK(config.block_bytes > 0);
+  MOBISIM_CHECK(config.disk.kind == DeviceKind::kMagneticDisk);
 
   DeviceOptions flash_options;
   flash_options.block_bytes = config.block_bytes;
   flash_options.capacity_bytes = std::max<std::uint64_t>(
       config.flash_bytes, 2ull * config.flash.erase_segment_bytes + config.block_bytes);
-  flash_ = std::make_unique<FlashCard>(config.flash, flash_options);
+  flash_ = CreateDevice(config.flash, flash_options);
 
   DeviceOptions disk_options;
   disk_options.block_bytes = config.block_bytes;
   disk_options.capacity_bytes = config.disk_capacity_bytes;
   disk_options.spin_down_after_us = config.spin_down_after_us;
-  disk_ = std::make_unique<MagneticDisk>(config.disk, disk_options);
+  disk_ = CreateDevice(config.disk, disk_options);
 
   const std::uint64_t flash_blocks =
       flash_options.capacity_bytes / config.block_bytes;
   cache_capacity_blocks_ = static_cast<std::uint64_t>(
       config.flash_usable_fraction * static_cast<double>(flash_blocks));
   MOBISIM_CHECK(cache_capacity_blocks_ > 0);
-  free_slots_.reserve(cache_capacity_blocks_);
-  // Hand out slots from the top down so pops are cheap.
-  for (std::uint64_t s = cache_capacity_blocks_; s > 0; --s) {
-    free_slots_.push_back(s - 1);
-  }
 }
 
 bool FlashCacheSystem::CachedAll(std::uint64_t lba, std::uint32_t count) const {
   for (std::uint32_t i = 0; i < count; ++i) {
-    if (entries_.find(lba + i) == entries_.end()) {
+    if (!cache_.Contains(lba + i)) {
       return false;
     }
   }
   return true;
 }
 
-void FlashCacheSystem::Touch(std::uint64_t lba) {
-  const auto it = entries_.find(lba);
-  MOBISIM_DCHECK(it != entries_.end());
-  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-}
-
 SimTime FlashCacheSystem::Destage(SimTime now, std::uint64_t max_blocks) {
   // Collect dirty disk blocks in LBA (elevator) order, up to the budget.
   std::vector<std::uint64_t> dirty;
-  dirty.reserve(std::min<std::uint64_t>(dirty_count_, max_blocks));
-  for (const auto& [lba, entry] : entries_) {
-    if (entry.dirty) {
-      dirty.push_back(lba);
-    }
-  }
+  dirty.reserve(cache_.dirty_count());
+  cache_.CollectDirty(&dirty);
   if (dirty.empty()) {
     return now;
   }
@@ -83,8 +69,7 @@ SimTime FlashCacheSystem::Destage(SimTime now, std::uint64_t max_blocks) {
     dirty.resize(max_blocks);
   }
   for (const std::uint64_t lba : dirty) {
-    entries_[lba].dirty = false;
-    --dirty_count_;
+    cache_.ClearDirty(lba);
   }
   ++destages_;
 
@@ -107,26 +92,20 @@ SimTime FlashCacheSystem::Destage(SimTime now, std::uint64_t max_blocks) {
   return completion;
 }
 
-std::uint64_t FlashCacheSystem::AcquireSlot(SimTime now) {
-  if (!free_slots_.empty()) {
-    const std::uint64_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    return slot;
+void FlashCacheSystem::MakeRoom(SimTime now) {
+  if (cache_.size() < cache_capacity_blocks_) {
+    return;
   }
-  MOBISIM_CHECK(!lru_.empty());
-  const std::uint64_t victim_lba = lru_.back();
-  const auto it = entries_.find(victim_lba);
-  MOBISIM_DCHECK(it != entries_.end());
-  if (it->second.dirty) {
+  bool dirty;
+  std::uint32_t slot;
+  cache_.PeekLru(&dirty, &slot);
+  if (dirty) {
     // The cache is full of dirty data: destage everything in one disk
     // session rather than dribbling single blocks.
     DestageAll(now);
   }
-  const std::uint64_t slot = it->second.slot;
   flash_->Trim(now, MakeRecord(now, OpType::kErase, slot, 1));
-  lru_.pop_back();
-  entries_.erase(it);
-  return slot;
+  cache_.EvictLru(&dirty);
 }
 
 SimTime FlashCacheSystem::InstallRange(SimTime now, std::uint64_t lba, std::uint32_t count,
@@ -134,28 +113,17 @@ SimTime FlashCacheSystem::InstallRange(SimTime now, std::uint64_t lba, std::uint
   SimTime response = 0;
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint64_t block = lba + i;
-    const auto it = entries_.find(block);
-    std::uint64_t slot;
-    if (it != entries_.end()) {
-      slot = it->second.slot;
-      if (dirty && !it->second.dirty) {
-        it->second.dirty = true;
-        ++dirty_count_;
-      }
-      Touch(block);
+    std::uint32_t slot = cache_.IndexOf(block);
+    if (slot != LruBlockMap::kNoIndex) {
+      cache_.TouchIfPresent(block);
     } else {
-      slot = AcquireSlot(now);
-      lru_.push_front(block);
-      CacheEntry entry;
-      entry.slot = slot;
-      entry.dirty = dirty;
-      entry.lru_it = lru_.begin();
-      entries_.emplace(block, entry);
-      if (dirty) {
-        ++dirty_count_;
-      }
+      MakeRoom(now);
+      slot = cache_.InsertFront(block);
     }
-    response = flash_->Write(now, MakeRecord(now, OpType::kWrite, slot, 1)) ;
+    if (dirty) {
+      cache_.MarkDirty(block);
+    }
+    response = flash_->Write(now, MakeRecord(now, OpType::kWrite, slot, 1));
   }
   return response;
 }
@@ -171,13 +139,12 @@ SimTime FlashCacheSystem::HandleRead(const BlockRecord& rec) {
   if (CachedAll(rec.lba, rec.block_count)) {
     ++flash_hits_;
     for (std::uint32_t i = 0; i < rec.block_count; ++i) {
-      Touch(rec.lba + i);
+      cache_.TouchIfPresent(rec.lba + i);
     }
     // Timing: one flash read of the full size (slot scatter is irrelevant on
     // a byte-addressed card).
-    const SimTime response =
-        flash_->Read(now, MakeRecord(now, OpType::kRead, entries_[rec.lba].slot,
-                                     rec.block_count));
+    const SimTime response = flash_->Read(
+        now, MakeRecord(now, OpType::kRead, cache_.IndexOf(rec.lba), rec.block_count));
     dram_.Insert(rec.lba, rec.block_count);
     dram_.NoteTransfer(bytes);
     return response;
@@ -192,7 +159,7 @@ SimTime FlashCacheSystem::HandleRead(const BlockRecord& rec) {
   // Piggyback: the miss spun the disk up anyway; use the session to destage
   // a bounded chunk of dirty data instead of paying dedicated spin-ups
   // later.
-  if (dirty_count_ > 0) {
+  if (cache_.dirty_count() > 0) {
     Destage(now + response, config_.destage_chunk_blocks);
   }
   return response;
@@ -207,7 +174,7 @@ SimTime FlashCacheSystem::HandleWrite(const BlockRecord& rec) {
   // Flash is non-volatile: the write is durable once it lands there.
   const SimTime response = InstallRange(now, rec.lba, rec.block_count, /*dirty=*/true);
 
-  if (static_cast<double>(dirty_count_) >
+  if (static_cast<double>(cache_.dirty_count()) >
       config_.destage_threshold * static_cast<double>(cache_capacity_blocks_)) {
     // Background destage; not charged to this write.
     DestageAll(now + response);
@@ -218,17 +185,13 @@ SimTime FlashCacheSystem::HandleWrite(const BlockRecord& rec) {
 void FlashCacheSystem::HandleErase(const BlockRecord& rec) {
   dram_.InvalidateRange(rec.lba, rec.block_count);
   for (std::uint32_t i = 0; i < rec.block_count; ++i) {
-    const auto it = entries_.find(rec.lba + i);
-    if (it == entries_.end()) {
+    const std::uint32_t slot = cache_.IndexOf(rec.lba + i);
+    if (slot == LruBlockMap::kNoIndex) {
       continue;
     }
-    if (it->second.dirty) {
-      --dirty_count_;
-    }
-    flash_->Trim(rec.time_us, MakeRecord(rec.time_us, OpType::kErase, it->second.slot, 1));
-    free_slots_.push_back(it->second.slot);
-    lru_.erase(it->second.lru_it);
-    entries_.erase(it);
+    flash_->Trim(rec.time_us, MakeRecord(rec.time_us, OpType::kErase, slot, 1));
+    bool was_dirty;
+    cache_.Erase(rec.lba + i, &was_dirty);
   }
   disk_->Trim(rec.time_us, rec);
 }
@@ -251,7 +214,7 @@ SimTime FlashCacheSystem::Handle(const BlockRecord& rec) {
 }
 
 void FlashCacheSystem::Finish(SimTime end) {
-  if (dirty_count_ > 0) {
+  if (cache_.dirty_count() > 0) {
     end = std::max(end, DestageAll(std::max(end, disk_->busy_until())));
   }
   end = std::max({end, disk_->busy_until(), flash_->busy_until()});

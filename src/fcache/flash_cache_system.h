@@ -17,15 +17,13 @@
 #define MOBISIM_SRC_FCACHE_FLASH_CACHE_SYSTEM_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <unordered_map>
 
 #include "src/cache/buffer_cache.h"
 #include "src/device/device_catalog.h"
-#include "src/device/flash_card.h"
-#include "src/device/magnetic_disk.h"
+#include "src/device/storage_device.h"
 #include "src/trace/trace_record.h"
+#include "src/util/block_hash.h"
 
 namespace mobisim {
 
@@ -72,25 +70,19 @@ class FlashCacheSystem {
   std::uint64_t destages() const { return destages_; }
   const DeviceCounters& disk_counters() const { return disk_->counters(); }
   const DeviceCounters& flash_counters() const { return flash_->counters(); }
-  std::uint64_t cached_blocks() const { return lru_.size(); }
-  std::uint64_t dirty_blocks() const { return dirty_count_; }
+  std::uint64_t cached_blocks() const { return cache_.size(); }
+  std::uint64_t dirty_blocks() const { return cache_.dirty_count(); }
 
  private:
-  struct CacheEntry {
-    std::uint64_t slot = 0;  // flash-side block address
-    bool dirty = false;
-    std::list<std::uint64_t>::iterator lru_it;
-  };
-
   SimTime HandleRead(const BlockRecord& rec);
   SimTime HandleWrite(const BlockRecord& rec);
   void HandleErase(const BlockRecord& rec);
 
   // True if every block of the range is in the flash cache.
   bool CachedAll(std::uint64_t lba, std::uint32_t count) const;
-  // Ensures a free flash slot, evicting (and if needed destaging) LRU
-  // blocks; returns the slot.
-  std::uint64_t AcquireSlot(SimTime now);
+  // When the cache is full, evicts the LRU block (destaging first if it is
+  // dirty) so the next insert reuses its flash slot.
+  void MakeRoom(SimTime now);
   // Installs blocks into the flash cache (paying flash writes); `dirty`
   // marks them as newer than the disk copy.
   SimTime InstallRange(SimTime now, std::uint64_t lba, std::uint32_t count, bool dirty);
@@ -98,18 +90,19 @@ class FlashCacheSystem {
   // (elevator) order; they stay cached clean.  Returns the completion time.
   SimTime Destage(SimTime now, std::uint64_t max_blocks);
   SimTime DestageAll(SimTime now) { return Destage(now, ~std::uint64_t{0}); }
-  void Touch(std::uint64_t lba);
 
   FlashCacheConfig config_;
   BufferCache dram_;
-  std::unique_ptr<FlashCard> flash_;
-  std::unique_ptr<MagneticDisk> disk_;
+  std::unique_ptr<StorageDevice> flash_;
+  std::unique_ptr<StorageDevice> disk_;
 
   std::uint64_t cache_capacity_blocks_;
-  std::unordered_map<std::uint64_t, CacheEntry> entries_;  // disk lba -> entry
-  std::list<std::uint64_t> lru_;                           // front = most recent
-  std::vector<std::uint64_t> free_slots_;
-  std::uint64_t dirty_count_ = 0;
+  // Disk blocks cached in flash, in LRU order with a dirty bit each.  A
+  // block's flash slot is its entry index: fresh indices count up from 0
+  // and freed ones are reused last-freed-first, and an eviction frees the
+  // victim's index just before the insert that takes it, so slots stay
+  // dense in [0, cache_capacity_blocks_).
+  LruBlockMap cache_;
   std::uint64_t flash_hits_ = 0;
   std::uint64_t flash_misses_ = 0;
   std::uint64_t destages_ = 0;

@@ -26,11 +26,12 @@ BlockRecord MakeRecord(SimTime t, OpType op, std::uint64_t lba, std::uint32_t co
 
 HybridStore::HybridStore(const HybridConfig& config)
     : config_(config), dram_(config.dram, config.dram_bytes, config.block_bytes) {
+  MOBISIM_CHECK(config.disk.kind == DeviceKind::kMagneticDisk);
   DeviceOptions disk_options;
   disk_options.block_bytes = config.block_bytes;
   disk_options.capacity_bytes = config.disk_capacity_bytes;
   disk_options.spin_down_after_us = config.spin_down_after_us;
-  disk_ = std::make_unique<MagneticDisk>(config.disk, disk_options);
+  disk_ = CreateDevice(config.disk, disk_options);
 
   DeviceOptions flash_options;
   flash_options.block_bytes = config.block_bytes;

@@ -23,7 +23,7 @@
 #include "src/cache/buffer_cache.h"
 #include "src/device/device_catalog.h"
 #include "src/device/flash_card.h"
-#include "src/device/magnetic_disk.h"
+#include "src/device/storage_device.h"
 #include "src/trace/trace_record.h"
 
 namespace mobisim {
@@ -95,7 +95,7 @@ class HybridStore {
 
   HybridConfig config_;
   BufferCache dram_;
-  std::unique_ptr<MagneticDisk> disk_;
+  std::unique_ptr<StorageDevice> disk_;
   std::unique_ptr<FlashCard> flash_;
 
   // Flash logical-address allocator: first-fit over free ranges.

@@ -147,12 +147,25 @@ class FlatBlockSet {
 // into a contiguous entry array; the LRU list is intrusive (prev/next
 // indices in the entries), so a touch is two probes' worth of cache lines
 // and zero allocations.
+//
+// An entry's index is stable while the entry is present.  Fresh indices
+// come in 0, 1, 2, ... order and freed ones are reused last-freed-first,
+// so callers may use the index as a dense slot number (FlashCacheSystem's
+// flash slots).
 class LruBlockMap {
  public:
+  static constexpr std::uint32_t kNoIndex = 0xffffffffu;
+
   std::size_t size() const { return size_; }
   std::size_t dirty_count() const { return dirty_count_; }
 
   bool Contains(std::uint64_t lba) const { return FindBucket(lba) != kNpos; }
+
+  // Entry index of `lba`, or kNoIndex when absent.
+  std::uint32_t IndexOf(std::uint64_t lba) const {
+    const std::size_t bucket = FindBucket(lba);
+    return bucket == kNpos ? kNoIndex : table_[bucket];
+  }
 
   // Moves a present entry to the MRU position; single probe.  Returns false
   // (and does nothing) when absent.
@@ -165,8 +178,9 @@ class LruBlockMap {
     return true;
   }
 
-  // Inserts `lba` as the MRU entry, clean.  Must not be present.
-  void InsertFront(std::uint64_t lba) {
+  // Inserts `lba` as the MRU entry, clean; returns its index.  Must not be
+  // present.
+  std::uint32_t InsertFront(std::uint64_t lba) {
     MOBISIM_DCHECK(lba + 1 != 0);
     if ((size_ + 1) * 8 >= table_.size() * 7) {
       Grow();
@@ -181,6 +195,16 @@ class LruBlockMap {
     table_[pos] = idx;
     LinkFront(idx);
     ++size_;
+    return idx;
+  }
+
+  // The LRU entry, left in place: returns its lba and reports its dirty bit
+  // and index.  Must be non-empty.
+  std::uint64_t PeekLru(bool* dirty, std::uint32_t* index) const {
+    MOBISIM_DCHECK(tail_ != kEmpty);
+    *dirty = entries_[tail_].dirty;
+    *index = tail_;
+    return entries_[tail_].lba;
   }
 
   // Removes the LRU entry; returns its lba and whether it was dirty.  Must
@@ -227,6 +251,21 @@ class LruBlockMap {
     return true;
   }
 
+  // Clears the dirty bit on a present entry, keeping it cached; returns
+  // false when absent.
+  bool ClearDirty(std::uint64_t lba) {
+    const std::size_t bucket = FindBucket(lba);
+    if (bucket == kNpos) {
+      return false;
+    }
+    Entry& e = entries_[table_[bucket]];
+    if (e.dirty) {
+      e.dirty = false;
+      --dirty_count_;
+    }
+    return true;
+  }
+
   // Appends every dirty lba, in unspecified order; callers sort.
   void CollectDirty(std::vector<std::uint64_t>* out) const {
     for (std::uint32_t idx = head_; idx != kEmpty; idx = entries_[idx].next) {
@@ -253,7 +292,7 @@ class LruBlockMap {
   }
 
  private:
-  static constexpr std::uint32_t kEmpty = 0xffffffffu;
+  static constexpr std::uint32_t kEmpty = kNoIndex;
   static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 
   struct Entry {

@@ -1,8 +1,8 @@
-// Unit tests for the geometry-based disk model.
+// Unit tests for MagneticDisk's geometry positioning mode.
 #include <gtest/gtest.h>
 
 #include "src/device/device_catalog.h"
-#include "src/device/geometric_disk.h"
+#include "src/device/magnetic_disk.h"
 
 namespace mobisim {
 namespace {
@@ -26,6 +26,7 @@ DeviceOptions TestOptions() {
   DeviceOptions options;
   options.block_bytes = 512;
   options.spin_down_after_us = 5 * kUsPerSec;
+  options.geometry = SmallGeometry();
   return options;
 }
 
@@ -57,8 +58,8 @@ TEST(DiskGeometryTest, CapacityArithmetic) {
   EXPECT_DOUBLE_EQ(g.revolution_ms(), 10.0);
 }
 
-TEST(GeometricDiskTest, RotationalLatencyBounded) {
-  GeometricDisk disk(Cu140Datasheet(), SmallGeometry(), TestOptions());
+TEST(DiskGeometryModeTest, RotationalLatencyBounded) {
+  MagneticDisk disk(Cu140Datasheet(), TestOptions());
   // Same cylinder (sector 0, head at cylinder 0): cost is controller +
   // rotation wait (< one revolution) + 1 sector transfer.
   const SimTime t = disk.MechanicalTimeUs(0, 1, 0, 0);
@@ -67,11 +68,11 @@ TEST(GeometricDiskTest, RotationalLatencyBounded) {
   EXPECT_GE(t, 0);
 }
 
-TEST(GeometricDiskTest, MechanicalTimeDecomposes) {
+TEST(DiskGeometryModeTest, MechanicalTimeDecomposes) {
   // total = controller + seek + rotational wait (in [0, rev)) + transfer.
   // A longer seek can absorb rotational wait, so totals are compared via
   // their decomposition, not directly.
-  GeometricDisk disk(Cu140Datasheet(), SmallGeometry(), TestOptions());
+  MagneticDisk disk(Cu140Datasheet(), TestOptions());
   const DiskGeometry g = SmallGeometry();
   const std::uint64_t per_cyl = g.heads * g.sectors_per_track;
   const SimTime sector_us = UsFromMs(g.revolution_ms() / g.sectors_per_track);
@@ -84,8 +85,8 @@ TEST(GeometricDiskTest, MechanicalTimeDecomposes) {
   }
 }
 
-TEST(GeometricDiskTest, TrackBoundaryPaysHeadSwitch) {
-  GeometricDisk disk(Cu140Datasheet(), SmallGeometry(), TestOptions());
+TEST(DiskGeometryModeTest, TrackBoundaryPaysHeadSwitch) {
+  MagneticDisk disk(Cu140Datasheet(), TestOptions());
   // 8 sectors = exactly one track: no switch.  9 sectors: one head switch.
   const SimTime one_track = disk.MechanicalTimeUs(0, 8, 0, 0);
   const SimTime spill = disk.MechanicalTimeUs(0, 9, 0, 0);
@@ -93,9 +94,9 @@ TEST(GeometricDiskTest, TrackBoundaryPaysHeadSwitch) {
   EXPECT_EQ(spill - one_track, UsFromMs(g.head_switch_ms + 10.0 / 8.0));
 }
 
-TEST(GeometricDiskTest, SequentialRunFasterThanScattered) {
-  GeometricDisk seq(Cu140Datasheet(), SmallGeometry(), TestOptions());
-  GeometricDisk scattered(Cu140Datasheet(), SmallGeometry(), TestOptions());
+TEST(DiskGeometryModeTest, SequentialRunFasterThanScattered) {
+  MagneticDisk seq(Cu140Datasheet(), TestOptions());
+  MagneticDisk scattered(Cu140Datasheet(), TestOptions());
   SimTime t = 0;
   SimTime seq_total = 0;
   SimTime sc_total = 0;
@@ -108,8 +109,8 @@ TEST(GeometricDiskTest, SequentialRunFasterThanScattered) {
   EXPECT_LT(seq_total, sc_total);
 }
 
-TEST(GeometricDiskTest, SpinDownAndWake) {
-  GeometricDisk disk(Cu140Datasheet(), SmallGeometry(), TestOptions());
+TEST(DiskGeometryModeTest, SpinDownAndWake) {
+  MagneticDisk disk(Cu140Datasheet(), TestOptions());
   disk.Read(0, Rec(0, 0, 1));
   EXPECT_FALSE(disk.SleepingAt(4 * kUsPerSec));
   EXPECT_TRUE(disk.SleepingAt(6 * kUsPerSec));
@@ -119,16 +120,16 @@ TEST(GeometricDiskTest, SpinDownAndWake) {
   EXPECT_EQ(disk.counters().spinups, 1u);
 }
 
-TEST(GeometricDiskTest, EnergyModesMatchAverageModel) {
-  // Idle/sleep accounting uses the same machinery as MagneticDisk: 10 s
+TEST(DiskGeometryModeTest, EnergyModesMatchAverageModel) {
+  // Idle/sleep accounting is the same in both positioning modes: 10 s
   // idle-then-finish gives 5 s idle + 5 s sleep.
   DeviceSpec spec = Cu140Datasheet();
-  GeometricDisk disk(spec, SmallGeometry(), TestOptions());
+  MagneticDisk disk(spec, TestOptions());
   disk.Finish(10 * kUsPerSec);
   EXPECT_NEAR(disk.energy().total_joules(), 5.0 * spec.idle_w + 5.0 * spec.sleep_w, 1e-6);
 }
 
-TEST(GeometricDiskTest, PresetsSizedLikeTheRealDrives) {
+TEST(DiskGeometryModeTest, PresetsSizedLikeTheRealDrives) {
   EXPECT_NEAR(static_cast<double>(Cu140Geometry().capacity_bytes()) / (1024 * 1024), 40.0,
               4.0);
   EXPECT_NEAR(static_cast<double>(KittyhawkGeometry().capacity_bytes()) / (1024 * 1024),

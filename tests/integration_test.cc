@@ -7,6 +7,7 @@
 
 #include "src/core/simulator.h"
 #include "src/device/device_catalog.h"
+#include "src/device/magnetic_disk.h"
 #include "src/fs/fat_file_system.h"
 #include "src/trace/block_mapper.h"
 #include "src/trace/calibrated_workload.h"

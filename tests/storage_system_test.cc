@@ -4,6 +4,7 @@
 
 #include "src/core/storage_system.h"
 #include "src/device/device_catalog.h"
+#include "src/device/magnetic_disk.h"
 
 namespace mobisim {
 namespace {
@@ -185,11 +186,44 @@ TEST(StorageSystemTest, GeometryModelIntegrates) {
   StorageSystem system(config, 100, kBlock);
   const SimTime read = system.Handle(Rec(0, OpType::kRead, 0, 2));
   EXPECT_GT(read, UsFromMs(1));
+  // The device is a MagneticDisk positioned by the configured geometry.
+  DeviceOptions options;
+  options.block_bytes = kBlock;
+  options.geometry = Cu140Geometry();
+  MagneticDisk reference(Cu140Datasheet(), options);
+  reference.Read(0, Rec(0, OpType::kRead, 0, 2));
+  EXPECT_EQ(system.device().busy_until(), reference.busy_until());
   // Deferred spin-up works through the geometry model too.
   const SimTime t = 20 * kUsPerSec;
   const SimTime write = system.Handle(Rec(t, OpType::kWrite, 10, 2));
   EXPECT_LT(write, UsFromMs(1));
   EXPECT_EQ(system.device().counters().spinups, 0u);
+}
+
+// Reads 7 s apart with caches off: under the fixed 5 s threshold the disk
+// sleeps ~2 s before every read (the 1 s spin-up included), below the
+// CU140's ~4.3 s spin-up break-even, so the adaptive policy must back off
+// after the first one.
+std::uint64_t SpinupsWithPrematureSleeps(bool geometry, SpinDownPolicy policy) {
+  SimConfig config = DiskConfig(0, 0);
+  config.use_disk_geometry = geometry;
+  config.disk_geometry = Cu140Geometry();
+  config.spin_down_policy = policy;
+  StorageSystem system(config, 100, kBlock);
+  for (int i = 0; i < 10; ++i) {
+    const SimTime t = i * 7 * kUsPerSec;
+    system.Handle(Rec(t, OpType::kRead, static_cast<std::uint64_t>(i) * 7, 1));
+  }
+  return system.device().counters().spinups;
+}
+
+TEST(StorageSystemTest, GeometryModelHonoursAdaptiveSpinDown) {
+  const std::uint64_t fixed = SpinupsWithPrematureSleeps(true, SpinDownPolicy::kFixedThreshold);
+  const std::uint64_t adaptive = SpinupsWithPrematureSleeps(true, SpinDownPolicy::kAdaptive);
+  EXPECT_EQ(fixed, 9u);
+  EXPECT_LT(adaptive, fixed);
+  // Spin-down is independent of the positioning model.
+  EXPECT_EQ(adaptive, SpinupsWithPrematureSleeps(false, SpinDownPolicy::kAdaptive));
 }
 
 TEST(StorageSystemTest, OversizedWriteBypassesSram) {

@@ -10,7 +10,6 @@
 #include "src/device/device_catalog.h"
 #include "src/device/flash_card.h"
 #include "src/device/flash_disk.h"
-#include "src/device/geometric_disk.h"
 #include "src/device/magnetic_disk.h"
 #include "src/device/nand_ssd.h"
 #include "src/util/rng.h"
@@ -33,10 +32,11 @@ std::unique_ptr<StorageDevice> MakeDisk() {
   return std::make_unique<MagneticDisk>(Cu140Datasheet(), options);
 }
 
-std::unique_ptr<StorageDevice> MakeGeometricDisk() {
+std::unique_ptr<StorageDevice> MakeGeometryDisk() {
   DeviceOptions options;
   options.block_bytes = 1024;
-  return std::make_unique<GeometricDisk>(Cu140Datasheet(), Cu140Geometry(), options);
+  options.geometry = Cu140Geometry();
+  return std::make_unique<MagneticDisk>(Cu140Datasheet(), options);
 }
 
 std::unique_ptr<StorageDevice> MakeFlashDisk() {
@@ -208,7 +208,7 @@ TEST_P(DeviceTimingPropertyTest, PowerLossTruncatesPendingWorkOnEveryKind) {
 INSTANTIATE_TEST_SUITE_P(
     Devices, DeviceTimingPropertyTest,
     ::testing::Values(DeviceMaker{"magnetic", &MakeDisk},
-                      DeviceMaker{"geometric", &MakeGeometricDisk},
+                      DeviceMaker{"geometric", &MakeGeometryDisk},
                       DeviceMaker{"flash_disk", &MakeFlashDisk},
                       DeviceMaker{"flash_card", &MakeFlashCard},
                       DeviceMaker{"nand_ssd", &MakeNandSsd,

@@ -2,9 +2,14 @@
 // streaming statistics, histograms, energy metering, table printing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <list>
 #include <sstream>
+#include <unordered_map>
+#include <vector>
 
+#include "src/util/block_hash.h"
 #include "src/util/energy_meter.h"
 #include "src/util/rng.h"
 #include "src/util/sim_time.h"
@@ -285,6 +290,212 @@ TEST(TablePrinterTest, CsvOutput) {
   std::ostringstream out;
   table.PrintCsv(out);
   EXPECT_EQ(out.str(), "a,b\n1,2\n");
+}
+
+// Reference LRU for LruBlockMap: std::unordered_map + std::list, with entry
+// indices handed out the way LruBlockMap documents (fresh ones count up,
+// freed ones are reused last-freed-first).
+class ReferenceLru {
+ public:
+  struct Entry {
+    std::list<std::uint64_t>::iterator it;
+    bool dirty = false;
+    std::uint32_t index = 0;
+  };
+
+  std::size_t size() const { return lru_.size(); }
+  std::size_t dirty_count() const {
+    return static_cast<std::size_t>(std::count_if(
+        map_.begin(), map_.end(), [](const auto& kv) { return kv.second.dirty; }));
+  }
+  const Entry* Find(std::uint64_t lba) const {
+    const auto it = map_.find(lba);
+    return it == map_.end() ? nullptr : &it->second;
+  }
+  bool Touch(std::uint64_t lba) {
+    const auto it = map_.find(lba);
+    if (it == map_.end()) {
+      return false;
+    }
+    lru_.splice(lru_.begin(), lru_, it->second.it);
+    return true;
+  }
+  std::uint32_t Insert(std::uint64_t lba) {
+    std::uint32_t index;
+    if (!free_.empty()) {
+      index = free_.back();
+      free_.pop_back();
+    } else {
+      index = next_fresh_++;
+    }
+    lru_.push_front(lba);
+    map_[lba] = Entry{lru_.begin(), false, index};
+    return index;
+  }
+  std::uint64_t Lru() const { return lru_.back(); }
+  bool Erase(std::uint64_t lba, bool* was_dirty) {
+    const auto it = map_.find(lba);
+    if (it == map_.end()) {
+      *was_dirty = false;
+      return false;
+    }
+    *was_dirty = it->second.dirty;
+    free_.push_back(it->second.index);
+    lru_.erase(it->second.it);
+    map_.erase(it);
+    return true;
+  }
+  bool SetDirty(std::uint64_t lba, bool dirty) {
+    const auto it = map_.find(lba);
+    if (it == map_.end()) {
+      return false;
+    }
+    it->second.dirty = dirty;
+    return true;
+  }
+  std::vector<std::uint64_t> Dirty() const {
+    std::vector<std::uint64_t> out;
+    for (const auto& [lba, e] : map_) {
+      if (e.dirty) {
+        out.push_back(lba);
+      }
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+  void ClearDirtyBits() {
+    for (auto& kv : map_) {
+      kv.second.dirty = false;
+    }
+  }
+  void Clear() {
+    map_.clear();
+    lru_.clear();
+    free_.clear();
+    next_fresh_ = 0;
+  }
+
+ private:
+  std::unordered_map<std::uint64_t, Entry> map_;
+  std::list<std::uint64_t> lru_;  // front = most recent
+  std::vector<std::uint32_t> free_;
+  std::uint32_t next_fresh_ = 0;
+};
+
+TEST(LruBlockMapTest, MatchesReferenceModel) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    Rng rng(seed);
+    LruBlockMap map;
+    ReferenceLru ref;
+    // A key space wider than the capacity keeps both hits and misses
+    // common; a capacity past 56 entries forces table growth (64 -> 128 ->
+    // 256 buckets).
+    const std::int64_t keys = 400;
+    const std::size_t capacity = 150 + seed * 20;
+    bool dirty = false;
+    bool ref_dirty = false;
+    for (int step = 0; step < 20000; ++step) {
+      const auto lba = static_cast<std::uint64_t>(rng.UniformInt(0, keys - 1) * 3 + seed);
+      switch (rng.UniformInt(0, 9)) {
+        case 0:
+        case 1:
+        case 2: {  // Touch, or insert as a bounded cache does (evict first).
+          const bool hit = map.TouchIfPresent(lba);
+          ASSERT_EQ(hit, ref.Touch(lba)) << "seed " << seed << " step " << step;
+          if (!hit) {
+            if (ref.size() >= capacity) {
+              std::uint32_t index = 0;
+              const std::uint64_t victim = map.PeekLru(&dirty, &index);
+              ASSERT_EQ(victim, ref.Lru());
+              ASSERT_EQ(index, ref.Find(victim)->index);
+              ASSERT_EQ(map.EvictLru(&dirty), victim);
+              ref.Erase(victim, &ref_dirty);
+              ASSERT_EQ(dirty, ref_dirty);
+            }
+            ASSERT_EQ(map.InsertFront(lba), ref.Insert(lba)) << "seed " << seed;
+          }
+          break;
+        }
+        case 3:  // Evict the LRU entry outright.
+          if (ref.size() > 0) {
+            const std::uint64_t victim = ref.Lru();
+            ASSERT_EQ(map.EvictLru(&dirty), victim);
+            ref.Erase(victim, &ref_dirty);
+            ASSERT_EQ(dirty, ref_dirty);
+          }
+          break;
+        case 4:
+          ASSERT_EQ(map.Erase(lba, &dirty), ref.Erase(lba, &ref_dirty));
+          ASSERT_EQ(dirty, ref_dirty);
+          break;
+        case 5:
+        case 6:
+          ASSERT_EQ(map.MarkDirty(lba), ref.SetDirty(lba, true));
+          break;
+        case 7:
+          ASSERT_EQ(map.ClearDirty(lba), ref.SetDirty(lba, false));
+          break;
+        case 8: {
+          const ReferenceLru::Entry* e = ref.Find(lba);
+          ASSERT_EQ(map.Contains(lba), e != nullptr);
+          ASSERT_EQ(map.IndexOf(lba), e != nullptr ? e->index : LruBlockMap::kNoIndex);
+          if (ref.size() > 0) {
+            std::uint32_t index = 0;
+            ASSERT_EQ(map.PeekLru(&dirty, &index), ref.Lru());
+            ASSERT_EQ(dirty, ref.Find(ref.Lru())->dirty);
+            ASSERT_EQ(index, ref.Find(ref.Lru())->index);
+          }
+          break;
+        }
+        default:
+          if (rng.Chance(0.02)) {
+            map.ClearDirtyBits();
+            ref.ClearDirtyBits();
+          } else if (rng.Chance(0.005)) {
+            map.Clear();
+            ref.Clear();
+          }
+          break;
+      }
+      ASSERT_EQ(map.size(), ref.size());
+      ASSERT_EQ(map.dirty_count(), ref.dirty_count());
+      if (step % 500 == 0) {
+        std::vector<std::uint64_t> dirty_lbas;
+        map.CollectDirty(&dirty_lbas);
+        std::sort(dirty_lbas.begin(), dirty_lbas.end());
+        ASSERT_EQ(dirty_lbas, ref.Dirty());
+      }
+    }
+    // Drain in LRU order: the recency lists agree end to end.
+    while (ref.size() > 0) {
+      const std::uint64_t victim = ref.Lru();
+      ASSERT_EQ(map.EvictLru(&dirty), victim);
+      ref.Erase(victim, &ref_dirty);
+      ASSERT_EQ(dirty, ref_dirty);
+    }
+    ASSERT_EQ(map.size(), 0u);
+  }
+}
+
+TEST(LruBlockMapTest, EntryIndicesAreDenseAndReusedLifo) {
+  LruBlockMap map;
+  for (std::uint64_t lba = 0; lba < 4; ++lba) {
+    EXPECT_EQ(map.InsertFront(100 + lba), lba);  // fresh: 0, 1, 2, 3
+  }
+  bool dirty = false;
+  ASSERT_TRUE(map.Erase(101, &dirty));
+  ASSERT_TRUE(map.Erase(103, &dirty));
+  EXPECT_EQ(map.InsertFront(200), 3u);  // last freed first
+  EXPECT_EQ(map.InsertFront(201), 1u);
+  EXPECT_EQ(map.InsertFront(202), 4u);  // then fresh again
+  // An eviction frees the victim's index for the very next insert.
+  std::uint32_t index = 0;
+  EXPECT_EQ(map.PeekLru(&dirty, &index), 100u);
+  EXPECT_EQ(index, 0u);
+  map.EvictLru(&dirty);
+  EXPECT_EQ(map.InsertFront(203), 0u);
+  EXPECT_EQ(map.IndexOf(203), 0u);
+  EXPECT_EQ(map.IndexOf(100), LruBlockMap::kNoIndex);
 }
 
 }  // namespace
