@@ -20,14 +20,17 @@ bool SramWriteBuffer::Absorb(std::uint64_t lba, std::uint32_t count) {
   if (!enabled()) {
     return false;
   }
-  std::uint32_t new_blocks = 0;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    if (!dirty_.contains(lba + i)) {
-      ++new_blocks;
+  if (dirty_.size() + count > capacity_blocks_) {
+    // Might not fit: only blocks not yet buffered take space.
+    std::uint64_t new_blocks = 0;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      if (!dirty_.contains(lba + i)) {
+        ++new_blocks;
+      }
     }
-  }
-  if (dirty_.size() + new_blocks > capacity_blocks_) {
-    return false;
+    if (dirty_.size() + new_blocks > capacity_blocks_) {
+      return false;
+    }
   }
   for (std::uint32_t i = 0; i < count; ++i) {
     dirty_.insert(lba + i);
@@ -42,24 +45,24 @@ void SramWriteBuffer::Discard(std::uint64_t lba, std::uint32_t count) {
   }
 }
 
-std::vector<SramWriteBuffer::FlushRange> SramWriteBuffer::Drain() {
-  std::vector<std::uint64_t> blocks;
-  blocks.reserve(dirty_.size());
-  dirty_.CollectInto(&blocks);
-  std::sort(blocks.begin(), blocks.end());
+const std::vector<SramWriteBuffer::FlushRange>& SramWriteBuffer::Drain() {
+  drain_ranges_.clear();
+  if (dirty_.empty()) {
+    return drain_ranges_;
+  }
+  drain_blocks_.assign(dirty_.members().begin(), dirty_.members().end());
+  std::sort(drain_blocks_.begin(), drain_blocks_.end());
   dirty_.clear();
-  std::vector<FlushRange> ranges;
-  for (const std::uint64_t block : blocks) {
-    if (!ranges.empty() && ranges.back().lba + ranges.back().count == block) {
-      ++ranges.back().count;
+  for (const std::uint64_t block : drain_blocks_) {
+    if (!drain_ranges_.empty() &&
+        drain_ranges_.back().lba + drain_ranges_.back().count == block) {
+      ++drain_ranges_.back().count;
     } else {
-      ranges.push_back(FlushRange{block, 1});
+      drain_ranges_.push_back(FlushRange{block, 1});
     }
   }
-  if (!ranges.empty()) {
-    ++flushes_;
-  }
-  return ranges;
+  ++flushes_;
+  return drain_ranges_;
 }
 
 }  // namespace mobisim

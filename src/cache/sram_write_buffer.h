@@ -6,6 +6,13 @@
 // disk.  When the buffer fills, the accumulated dirty blocks are flushed to
 // the device and the triggering write waits.  Recently written blocks are
 // readable out of the buffer.
+//
+// While the disk spins, every absorbed write is drained at once (write-
+// behind), so Absorb and Drain sit on the per-record path and cost
+// O(blocks absorbed or drained): the dirty set keeps its members densely
+// (see FlatBlockSet), and Drain builds its ranges in member scratch vectors
+// that are reused, so a steady-state drain allocates nothing.  The list
+// Drain returns is that scratch: it stays valid until the next Drain.
 #ifndef MOBISIM_SRC_CACHE_SRAM_WRITE_BUFFER_H_
 #define MOBISIM_SRC_CACHE_SRAM_WRITE_BUFFER_H_
 
@@ -58,7 +65,8 @@ class SramWriteBuffer {
 
   // Absorbs a write if the whole range fits (blocks already present are
   // free).  Returns false -- leaving the buffer untouched -- when it does
-  // not fit and the caller must flush first.
+  // not fit and the caller must flush first.  A write that fits even if
+  // none of its blocks is present probes each block once.
   bool Absorb(std::uint64_t lba, std::uint32_t count);
 
   // Removes blocks covered by a file deletion; they no longer need flushing.
@@ -70,8 +78,9 @@ class SramWriteBuffer {
     std::uint32_t count = 0;
   };
   // Empties the buffer, returning its contents coalesced into ranges sorted
-  // by LBA.
-  std::vector<FlushRange> Drain();
+  // by LBA.  The reference stays valid until the next Drain; an empty
+  // buffer yields an empty list and counts no flush.
+  const std::vector<FlushRange>& Drain();
 
   SimTime AccessTime(std::uint64_t bytes) const {
     return static_cast<SimTime>(spec_.access_overhead_us) +
@@ -103,6 +112,8 @@ class SramWriteBuffer {
   double retention_w_ = 0.0;
 
   FlatBlockSet dirty_;
+  std::vector<std::uint64_t> drain_blocks_;  // Drain scratch: sorted members
+  std::vector<FlushRange> drain_ranges_;     // what Drain returns
   std::uint64_t absorbed_ = 0;
   std::uint64_t flushes_ = 0;
 };

@@ -7,10 +7,11 @@
 // tables, backward-shift deletion, no tombstones) so a probe is one or two
 // cache lines.
 //
-// Both containers reserve the all-ones key ~0ull as an internal sentinel;
-// block addresses are bounded far below it (DCHECK'd on insert).  Neither
-// exposes iteration order — callers that need ordered output (DrainDirty /
-// Drain) collect and sort, so results never depend on table layout.
+// Both hash tables hold 32-bit indices into a dense array of members or
+// entries, with the all-ones index as the empty-slot sentinel.  Neither
+// exposes a meaningful iteration order — callers that need ordered output
+// (DrainDirty / Drain) collect and sort, so results never depend on table
+// layout.
 #ifndef MOBISIM_SRC_UTIL_BLOCK_HASH_H_
 #define MOBISIM_SRC_UTIL_BLOCK_HASH_H_
 
@@ -30,116 +31,128 @@ inline std::uint64_t BlockHashMix(std::uint64_t lba) {
 }
 
 // Open-addressing set of block addresses (SramWriteBuffer's dirty set).
+// Members live in a dense array and the hash table stores indices into it,
+// as in LruBlockMap, so iterating (members()) and clear() cost O(size), not
+// O(buckets): a table grown by one burst never taxes later small drains.
+// erase() moves the last member into the hole, so member order is
+// unspecified and changes as members leave.
 class FlatBlockSet {
  public:
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return members_.size(); }
+  bool empty() const { return members_.empty(); }
 
-  bool contains(std::uint64_t lba) const {
-    if (buckets_.empty()) {
-      return false;
-    }
-    const std::size_t mask = buckets_.size() - 1;
-    std::size_t pos = BlockHashMix(lba) & mask;
-    while (buckets_[pos] != kEmpty) {
-      if (buckets_[pos] == lba) {
-        return true;
-      }
-      pos = (pos + 1) & mask;
-    }
-    return false;
-  }
+  // Every member, densely, in unspecified order; callers that need an
+  // order sort a copy.  Invalidated by any insert, erase or clear.
+  const std::vector<std::uint64_t>& members() const { return members_; }
+
+  bool contains(std::uint64_t lba) const { return FindBucket(lba) != kNpos; }
 
   // Returns true if `lba` was newly inserted.
   bool insert(std::uint64_t lba) {
-    MOBISIM_DCHECK(lba != kEmpty);
-    if ((size_ + 1) * 8 >= buckets_.size() * 7) {
+    MOBISIM_DCHECK(members_.size() < kEmpty);
+    if ((members_.size() + 1) * 8 >= table_.size() * 7) {
       Grow();
     }
-    const std::size_t mask = buckets_.size() - 1;
+    const std::size_t mask = table_.size() - 1;
     std::size_t pos = BlockHashMix(lba) & mask;
-    while (buckets_[pos] != kEmpty) {
-      if (buckets_[pos] == lba) {
+    while (table_[pos] != kEmpty) {
+      if (members_[table_[pos]] == lba) {
         return false;
       }
       pos = (pos + 1) & mask;
     }
-    buckets_[pos] = lba;
-    ++size_;
+    table_[pos] = static_cast<std::uint32_t>(members_.size());
+    members_.push_back(lba);
     return true;
   }
 
   // Returns true if `lba` was present.  Backward-shift deletion keeps the
   // table tombstone-free, so probe lengths never degrade.
   bool erase(std::uint64_t lba) {
-    if (buckets_.empty()) {
+    const std::size_t bucket = FindBucket(lba);
+    if (bucket == kNpos) {
       return false;
     }
-    const std::size_t mask = buckets_.size() - 1;
-    std::size_t pos = BlockHashMix(lba) & mask;
-    while (true) {
-      if (buckets_[pos] == kEmpty) {
-        return false;
-      }
-      if (buckets_[pos] == lba) {
-        break;
-      }
-      pos = (pos + 1) & mask;
+    const std::uint32_t idx = table_[bucket];
+    EraseBucket(bucket);
+    const std::uint32_t last = static_cast<std::uint32_t>(members_.size() - 1);
+    if (idx != last) {
+      const std::uint64_t moved = members_[last];
+      members_[idx] = moved;
+      table_[FindBucket(moved)] = idx;
     }
-    std::size_t hole = pos;
-    std::size_t probe = pos;
-    while (true) {
-      probe = (probe + 1) & mask;
-      if (buckets_[probe] == kEmpty) {
-        break;
-      }
-      const std::size_t home = BlockHashMix(buckets_[probe]) & mask;
-      if (((probe - home) & mask) >= ((probe - hole) & mask)) {
-        buckets_[hole] = buckets_[probe];
-        hole = probe;
-      }
-    }
-    buckets_[hole] = kEmpty;
-    --size_;
+    members_.pop_back();
     return true;
   }
 
+  // Empties the set in O(size): each member's slot is found by scanning
+  // forward from its home bucket for its index.  Slots already emptied are
+  // skipped rather than ending the scan, and a member's own slot is still
+  // set when it is reached, so the scan always finds it.
   void clear() {
-    buckets_.assign(buckets_.size(), kEmpty);
-    size_ = 0;
-  }
-
-  // Appends every element, in unspecified order; callers sort.
-  void CollectInto(std::vector<std::uint64_t>* out) const {
-    for (const std::uint64_t b : buckets_) {
-      if (b != kEmpty) {
-        out->push_back(b);
+    const std::size_t mask = table_.size() - 1;
+    for (std::uint32_t idx = 0; idx < members_.size(); ++idx) {
+      std::size_t pos = BlockHashMix(members_[idx]) & mask;
+      while (table_[pos] != idx) {
+        pos = (pos + 1) & mask;
       }
+      table_[pos] = kEmpty;
     }
+    members_.clear();
   }
 
  private:
-  static constexpr std::uint64_t kEmpty = ~0ull;
+  static constexpr std::uint32_t kEmpty = 0xffffffffu;
+  static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
+
+  std::size_t FindBucket(std::uint64_t lba) const {
+    if (table_.empty()) {
+      return kNpos;
+    }
+    const std::size_t mask = table_.size() - 1;
+    std::size_t pos = BlockHashMix(lba) & mask;
+    while (table_[pos] != kEmpty) {
+      if (members_[table_[pos]] == lba) {
+        return pos;
+      }
+      pos = (pos + 1) & mask;
+    }
+    return kNpos;
+  }
+
+  void EraseBucket(std::size_t bucket) {
+    const std::size_t mask = table_.size() - 1;
+    std::size_t hole = bucket;
+    std::size_t probe = bucket;
+    while (true) {
+      probe = (probe + 1) & mask;
+      if (table_[probe] == kEmpty) {
+        break;
+      }
+      const std::size_t home = BlockHashMix(members_[table_[probe]]) & mask;
+      if (((probe - home) & mask) >= ((probe - hole) & mask)) {
+        table_[hole] = table_[probe];
+        hole = probe;
+      }
+    }
+    table_[hole] = kEmpty;
+  }
 
   void Grow() {
-    const std::size_t new_size = buckets_.empty() ? 64 : buckets_.size() * 2;
-    std::vector<std::uint64_t> old = std::move(buckets_);
-    buckets_.assign(new_size, kEmpty);
+    const std::size_t new_size = table_.empty() ? 64 : table_.size() * 2;
+    table_.assign(new_size, kEmpty);
     const std::size_t mask = new_size - 1;
-    for (const std::uint64_t b : old) {
-      if (b == kEmpty) {
-        continue;
-      }
-      std::size_t pos = BlockHashMix(b) & mask;
-      while (buckets_[pos] != kEmpty) {
+    for (std::uint32_t idx = 0; idx < members_.size(); ++idx) {
+      std::size_t pos = BlockHashMix(members_[idx]) & mask;
+      while (table_[pos] != kEmpty) {
         pos = (pos + 1) & mask;
       }
-      buckets_[pos] = b;
+      table_[pos] = idx;
     }
   }
 
-  std::vector<std::uint64_t> buckets_;
-  std::size_t size_ = 0;
+  std::vector<std::uint32_t> table_;
+  std::vector<std::uint64_t> members_;
 };
 
 // LRU map of block addresses with a dirty bit per entry (BufferCache's

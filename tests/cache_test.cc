@@ -1,9 +1,14 @@
 // Unit tests for the DRAM buffer cache and the SRAM write buffer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <vector>
+
 #include "src/cache/buffer_cache.h"
 #include "src/cache/sram_write_buffer.h"
 #include "src/device/device_catalog.h"
+#include "src/util/rng.h"
 
 namespace mobisim {
 namespace {
@@ -149,6 +154,170 @@ TEST(SramWriteBufferTest, DiscardDropsBlocks) {
   ASSERT_EQ(ranges.size(), 2u);
   EXPECT_EQ(ranges[0].lba, 0u);
   EXPECT_EQ(ranges[1].lba, 3u);
+}
+
+// Reference SRAM buffer: the documented semantics over a std::set.
+class ReferenceSram {
+ public:
+  explicit ReferenceSram(std::uint64_t capacity_blocks) : capacity_(capacity_blocks) {}
+
+  std::uint64_t dirty_blocks() const { return dirty_.size(); }
+  std::uint64_t absorbed() const { return absorbed_; }
+  std::uint64_t flushes() const { return flushes_; }
+
+  bool ContainsAll(std::uint64_t lba, std::uint32_t count) const {
+    if (count == 0) {
+      return false;
+    }
+    for (std::uint32_t i = 0; i < count; ++i) {
+      if (dirty_.count(lba + i) == 0) {
+        return false;
+      }
+    }
+    return true;
+  }
+  bool ContainsAny(std::uint64_t lba, std::uint32_t count) const {
+    for (std::uint32_t i = 0; i < count; ++i) {
+      if (dirty_.count(lba + i) == 1) {
+        return true;
+      }
+    }
+    return false;
+  }
+  bool Absorb(std::uint64_t lba, std::uint32_t count) {
+    std::uint64_t new_blocks = 0;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      new_blocks += dirty_.count(lba + i) == 0 ? 1 : 0;
+    }
+    if (dirty_.size() + new_blocks > capacity_) {
+      return false;
+    }
+    for (std::uint32_t i = 0; i < count; ++i) {
+      dirty_.insert(lba + i);
+    }
+    ++absorbed_;
+    return true;
+  }
+  void Discard(std::uint64_t lba, std::uint32_t count) {
+    for (std::uint32_t i = 0; i < count; ++i) {
+      dirty_.erase(lba + i);
+    }
+  }
+  // (lba, count) runs in LBA order.
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> Drain() {
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> runs;
+    for (const std::uint64_t b : dirty_) {
+      if (!runs.empty() && runs.back().first + runs.back().second == b) {
+        ++runs.back().second;
+      } else {
+        runs.emplace_back(b, 1);
+      }
+    }
+    if (!runs.empty()) {
+      ++flushes_;
+    }
+    dirty_.clear();
+    return runs;
+  }
+
+ private:
+  std::uint64_t capacity_;
+  std::set<std::uint64_t> dirty_;
+  std::uint64_t absorbed_ = 0;
+  std::uint64_t flushes_ = 0;
+};
+
+TEST(SramWriteBufferTest, MatchesReferenceModel) {
+  // Capacities of 4 and 32 blocks fill and reject often; 1,024 blocks grows
+  // the dirty set's table well past 64 buckets and then refills it after
+  // drains, with rejected writes whenever a fill runs it full.
+  for (const std::uint64_t capacity : {4u, 32u, 1024u}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+      Rng rng(seed * 1000 + capacity);
+      SramWriteBuffer sram(NecSramSpec(), capacity * 1024, 1024);
+      ReferenceSram ref(capacity);
+      const auto keys = static_cast<std::int64_t>(capacity * 3 + 16);
+      const auto max_count = static_cast<std::int64_t>(std::min<std::uint64_t>(capacity + 1, 16));
+      const auto random_lba = [&] { return static_cast<std::uint64_t>(rng.UniformInt(0, keys - 1)); };
+      const auto random_count = [&] {
+        return static_cast<std::uint32_t>(rng.UniformInt(1, max_count));
+      };
+      const auto absorb = [&](std::uint64_t lba, std::uint32_t count) {
+        const bool expected = ref.Absorb(lba, count);
+        const std::uint64_t before = sram.dirty_blocks();
+        const bool any_before = sram.ContainsAny(lba, count);
+        EXPECT_EQ(sram.Absorb(lba, count), expected) << "lba " << lba << " count " << count;
+        if (!expected) {
+          // A rejected write leaves the buffer untouched.
+          EXPECT_EQ(sram.dirty_blocks(), before);
+          EXPECT_EQ(sram.ContainsAny(lba, count), any_before);
+        }
+        return expected;
+      };
+      const auto drain = [&] {
+        const auto runs = ref.Drain();
+        const std::vector<SramWriteBuffer::FlushRange>& ranges = sram.Drain();
+        ASSERT_EQ(ranges.size(), runs.size());
+        for (std::size_t i = 0; i < runs.size(); ++i) {
+          ASSERT_EQ(ranges[i].lba, runs[i].first) << "range " << i;
+          ASSERT_EQ(ranges[i].count, runs[i].second) << "range " << i;
+        }
+      };
+      for (int step = 0; step < 20000; ++step) {
+        const std::uint64_t lba = random_lba();
+        const std::uint32_t count = random_count();
+        switch (rng.UniformInt(0, 19)) {
+          case 0:
+          case 1:
+          case 2:
+          case 3:
+          case 4:
+          case 5:
+          case 6:
+            absorb(lba, count);
+            break;
+          case 7:
+          case 8:
+            sram.Discard(lba, count);
+            ref.Discard(lba, count);
+            break;
+          case 9:  // A deleted file's blocks are rewritten at once.
+            sram.Discard(lba, count);
+            ref.Discard(lba, count);
+            absorb(lba, count);
+            break;
+          case 10:
+          case 11:
+          case 12:
+            EXPECT_EQ(sram.ContainsAll(lba, count), ref.ContainsAll(lba, count));
+            EXPECT_EQ(sram.ContainsAny(lba, count), ref.ContainsAny(lba, count));
+            break;
+          case 13:
+            drain();
+            break;
+          case 14:  // Fill until a write is rejected.
+            if (rng.Chance(0.1)) {
+              while (absorb(random_lba(), random_count())) {
+              }
+            }
+            break;
+          default:
+            break;
+        }
+        ASSERT_EQ(sram.dirty_blocks(), ref.dirty_blocks())
+            << "capacity " << capacity << " seed " << seed << " step " << step;
+        ASSERT_EQ(sram.absorbed_writes(), ref.absorbed());
+        ASSERT_EQ(sram.flushes(), ref.flushes());
+        ASSERT_LE(sram.dirty_blocks(), capacity);
+        if (::testing::Test::HasFailure()) {
+          return;
+        }
+      }
+      drain();
+      EXPECT_EQ(sram.dirty_blocks(), 0u);
+      EXPECT_TRUE(sram.Drain().empty());
+    }
+  }
 }
 
 TEST(SramWriteBufferTest, RetentionEnergyAccrues) {

@@ -120,6 +120,44 @@ TEST(StorageSystemTest, WriteBehindDrainsWhileSpinning) {
   EXPECT_GE(system.device().counters().writes, 1u);
 }
 
+TEST(StorageSystemTest, WriteBehindAfterLargeBufferDrainsOnlyNewBlocks) {
+  // A 1 MB buffer fills while the disk sleeps, so its dirty set grows large
+  // once.  After that burst drains, each write-behind must flush exactly
+  // the block just written.
+  StorageSystem system(DiskConfig(0, 1024 * 1024), /*trace_blocks=*/4096, kBlock);
+  SimTime t = 10 * kUsPerSec;  // asleep: never used, past the 5 s threshold
+  for (std::uint64_t lba = 0; lba < 960; lba += 16) {
+    system.Handle(Rec(t, OpType::kWrite, lba, 16));
+    t += 1000;
+  }
+  ASSERT_EQ(system.sram().dirty_blocks(), 960u);
+  ASSERT_EQ(system.device().counters().spinups, 0u);
+  ASSERT_EQ(system.sram().flushes(), 0u);
+
+  // A read of an unbuffered block spins the disk up; the next write then
+  // drains the whole buffer behind the scenes.
+  EXPECT_GT(system.Handle(Rec(t, OpType::kRead, 3000, 1)), UsFromMs(1000));
+  ASSERT_EQ(system.device().counters().spinups, 1u);
+  t += 2 * kUsPerSec;
+  system.Handle(Rec(t, OpType::kWrite, 2000, 1));
+  ASSERT_EQ(system.sram().dirty_blocks(), 0u);
+  ASSERT_EQ(system.sram().flushes(), 1u);
+
+  const SimTime sram_time = system.sram().AccessTime(kBlock);
+  for (std::uint64_t i = 0; i < 60; ++i) {
+    t += kUsPerSec;  // under the spin-down threshold: the disk stays awake
+    const std::uint64_t flushes = system.sram().flushes();
+    const std::uint64_t writes = system.device().counters().writes;
+    const std::uint64_t bytes = system.device().counters().bytes_written;
+    EXPECT_EQ(system.Handle(Rec(t, OpType::kWrite, 100 + 7 * i, 1)), sram_time);
+    EXPECT_EQ(system.sram().flushes(), flushes + 1) << "write " << i;
+    EXPECT_EQ(system.device().counters().writes, writes + 1) << "write " << i;
+    EXPECT_EQ(system.device().counters().bytes_written, bytes + kBlock) << "write " << i;
+    EXPECT_EQ(system.sram().dirty_blocks(), 0u);
+  }
+  EXPECT_EQ(system.device().counters().spinups, 1u);
+}
+
 TEST(StorageSystemTest, EraseInvalidatesEverywhere) {
   StorageSystem system(DiskConfig(1024 * 1024, 32 * 1024), 100, kBlock);
   const SimTime t = 10 * kUsPerSec;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <list>
+#include <set>
 #include <sstream>
 #include <unordered_map>
 #include <vector>
@@ -290,6 +291,93 @@ TEST(TablePrinterTest, CsvOutput) {
   std::ostringstream out;
   table.PrintCsv(out);
   EXPECT_EQ(out.str(), "a,b\n1,2\n");
+}
+
+TEST(FlatBlockSetTest, MembersAreDenseAndEraseMovesTheLastIntoTheHole) {
+  FlatBlockSet set;
+  for (const std::uint64_t lba : {10u, 20u, 30u, 40u}) {
+    EXPECT_TRUE(set.insert(lba));
+  }
+  EXPECT_FALSE(set.insert(30));
+  EXPECT_EQ(set.members(), (std::vector<std::uint64_t>{10, 20, 30, 40}));
+  EXPECT_TRUE(set.erase(20));  // the last member moves into the hole
+  EXPECT_EQ(set.members(), (std::vector<std::uint64_t>{10, 40, 30}));
+  EXPECT_TRUE(set.erase(30));  // the last member itself: nothing moves
+  EXPECT_EQ(set.members(), (std::vector<std::uint64_t>{10, 40}));
+  EXPECT_FALSE(set.erase(30));
+  EXPECT_TRUE(set.contains(40));  // the moved member is still found
+  EXPECT_TRUE(set.erase(40));
+  EXPECT_TRUE(set.erase(10));
+  EXPECT_TRUE(set.empty());
+  EXPECT_FALSE(set.contains(10));
+}
+
+TEST(FlatBlockSetTest, ClearAfterGrowthEmptiesEverySlot) {
+  FlatBlockSet set;
+  // 1000 members grow the table to 2048 buckets; clearing must leave no
+  // stale slot behind, round after round, with clusters of every length.
+  for (std::uint64_t round = 0; round < 3; ++round) {
+    for (std::uint64_t lba = 0; lba < 1000; ++lba) {
+      ASSERT_TRUE(set.insert(lba * 5 + round));
+    }
+    for (std::uint64_t lba = 0; lba < 1000; lba += 3) {
+      ASSERT_TRUE(set.erase(lba * 5 + round));
+    }
+    ASSERT_EQ(set.size(), 666u);
+    set.clear();
+    ASSERT_TRUE(set.empty());
+    ASSERT_TRUE(set.members().empty());
+    for (std::uint64_t lba = 0; lba < 1000; ++lba) {
+      ASSERT_FALSE(set.contains(lba * 5 + round)) << "round " << round;
+    }
+    // A few members after the clear behave as in a fresh set.
+    ASSERT_TRUE(set.insert(7));
+    ASSERT_TRUE(set.insert(8));
+    ASSERT_FALSE(set.insert(7));
+    ASSERT_EQ(set.members(), (std::vector<std::uint64_t>{7, 8}));
+    set.clear();
+  }
+  set.clear();  // clearing an empty set is a no-op
+  EXPECT_TRUE(set.empty());
+}
+
+TEST(FlatBlockSetTest, MatchesReferenceSet) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    Rng rng(seed);
+    FlatBlockSet set;
+    std::set<std::uint64_t> ref;
+    for (int step = 0; step < 20000; ++step) {
+      const auto lba = static_cast<std::uint64_t>(rng.UniformInt(0, 799) * 7 + seed);
+      switch (rng.UniformInt(0, 9)) {
+        case 0:
+        case 1:
+        case 2:
+        case 3:
+          ASSERT_EQ(set.insert(lba), ref.insert(lba).second);
+          break;
+        case 4:
+        case 5:
+          ASSERT_EQ(set.erase(lba), ref.erase(lba) == 1);
+          break;
+        case 6:
+        case 7:
+          ASSERT_EQ(set.contains(lba), ref.count(lba) == 1);
+          break;
+        default:
+          if (rng.Chance(0.01)) {
+            set.clear();
+            ref.clear();
+          }
+          break;
+      }
+      ASSERT_EQ(set.size(), ref.size()) << "seed " << seed << " step " << step;
+      if (step % 250 == 0) {
+        std::vector<std::uint64_t> members = set.members();
+        std::sort(members.begin(), members.end());
+        ASSERT_EQ(members, std::vector<std::uint64_t>(ref.begin(), ref.end()));
+      }
+    }
+  }
 }
 
 // Reference LRU for LruBlockMap: std::unordered_map + std::list, with entry
