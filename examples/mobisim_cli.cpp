@@ -143,23 +143,23 @@ int RunMain(int argc, char** argv) {
     return Usage();
   }
 
-  // Build the block-level workload.
-  BlockTrace blocks;
+  // Build the block-level workload.  A file trace is labelled by its path.
+  const std::string source =
+      !hpl_path.empty() ? hpl_path : (!disksim_path.empty() ? disksim_path : trace_path);
+  const std::string label = generated ? workload : source;
+  TraceView blocks;
   if (!hpl_path.empty() || !disksim_path.empty()) {
-    std::ifstream in(hpl_path.empty() ? disksim_path : hpl_path);
+    std::ifstream in(source);
     if (!in) {
-      std::fprintf(stderr, "cannot open trace %s\n",
-                   (hpl_path.empty() ? disksim_path : hpl_path).c_str());
+      std::fprintf(stderr, "cannot open trace %s\n", source.c_str());
       return 1;
     }
-    const auto imported = hpl_path.empty()
-                              ? ImportDiskSimTrace(in, DiskSimImportOptions{}, &error)
+    blocks = hpl_path.empty() ? ImportDiskSimTrace(in, DiskSimImportOptions{}, &error)
                               : ImportHplTrace(in, HplImportOptions{}, &error);
-    if (!imported) {
+    if (!blocks) {
       std::fprintf(stderr, "import error: %s\n", error.c_str());
       return 1;
     }
-    blocks = *imported;
     // Disk-level traces carry an implicit buffer cache (like the paper's hp
     // trace); simulate without one.
     config.dram_bytes = 0;
@@ -174,16 +174,14 @@ int RunMain(int argc, char** argv) {
     // `seed` perturbs the generator so repeated runs are reproducible and
     // distinct seeds give independent workload instances.  The trace cache
     // (when configured) shares the generated blocks with sweep/bench runs.
-    blocks = *LoadOrGenerateBlockTrace(tcache.get(), workload, scale, seed);
+    blocks = LoadOrGenerateTraceView(tcache.get(), workload, scale, seed);
     if (workload == "hp") {
       config.dram_bytes = 0;  // the paper's methodology for hp
     }
   }
 
   std::printf("mobisim: %s | workload %s (%zu block records)\n",
-              DescribeConfig(config).c_str(),
-              trace_path.empty() ? workload.c_str() : trace_path.c_str(),
-              blocks.records.size());
+              DescribeConfig(config).c_str(), label.c_str(), blocks.size());
 
   const SimResult result = RunSimulation(blocks, config);
 
@@ -247,10 +245,7 @@ int RunMain(int argc, char** argv) {
   for (std::size_t replica = 0; replica < replicas; ++replica) {
     ExperimentPoint point;
     point.index = replica;
-    point.workload = generated ? workload
-                               : (trace_path.empty()
-                                      ? (hpl_path.empty() ? disksim_path : hpl_path)
-                                      : trace_path);
+    point.workload = label;
     point.scale = scale;
     point.seed = ReplicaSeed(seed, replica);
     point.replica = replica;
@@ -260,7 +255,7 @@ int RunMain(int argc, char** argv) {
       replica_result = result;  // reuse the run the table reported
     } else {
       replica_result = RunSimulation(
-          *LoadOrGenerateBlockTrace(tcache.get(), workload, scale, point.seed), config);
+          LoadOrGenerateTraceView(tcache.get(), workload, scale, point.seed), config);
     }
     ResultRow row = MergePointAndResult(point, replica_result);
     for (ResultSink* sink : sinks.sinks()) {

@@ -142,13 +142,8 @@ SimResult RunSimulation(const TraceView& trace, const SimConfig& config) {
   return result;
 }
 
-SimResult RunSimulation(const BlockTrace& trace, const SimConfig& config) {
-  return RunSimulation(TraceView::FromBlockTrace(trace), config);
-}
-
 SimResult RunNamedWorkload(const std::string& workload, const SimConfig& config, double scale) {
-  const Trace trace = GenerateNamedWorkload(workload, scale);
-  const BlockTrace blocks = BlockMapper::Map(trace);
+  const TraceView blocks = BlockMapper::Map(GenerateNamedWorkload(workload, scale));
   SimConfig adjusted = config;
   if (workload == "hp") {
     // The hp trace was gathered below the buffer cache; simulating one would

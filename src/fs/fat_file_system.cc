@@ -51,8 +51,7 @@ std::vector<std::uint32_t> FatFileSystem::FileClusters(std::uint32_t file_id) co
   return it->second.clusters;
 }
 
-void FatFileSystem::EmitFatWrite(std::uint32_t cluster, SimTime t,
-                                 std::vector<BlockRecord>* out) {
+void FatFileSystem::EmitFatWrite(std::uint32_t cluster, SimTime t, TraceBuilder* out) {
   const std::uint64_t entries_per_block = config_.block_bytes / 2;
   for (std::uint32_t copy = 0; copy < config_.fat_copies; ++copy) {
     const std::uint64_t lba =
@@ -70,14 +69,13 @@ void FatFileSystem::EmitFatWrite(std::uint32_t cluster, SimTime t,
       rec.lba = lba;
       rec.block_count = 1;
       rec.file_id = kMetadataFile;
-      out->push_back(rec);
+      out->Append(rec);
       ++stats_.fat_blocks_written;
     }
   }
 }
 
-void FatFileSystem::EmitDirWrite(const FileState& file, SimTime t,
-                                 std::vector<BlockRecord>* out) {
+void FatFileSystem::EmitDirWrite(const FileState& file, SimTime t, TraceBuilder* out) {
   if (out == nullptr) {
     return;
   }
@@ -91,12 +89,12 @@ void FatFileSystem::EmitDirWrite(const FileState& file, SimTime t,
   rec.lba = lba;
   rec.block_count = 1;
   rec.file_id = kMetadataFile;
-  out->push_back(rec);
+  out->Append(rec);
   ++stats_.dir_blocks_written;
 }
 
 bool FatFileSystem::AllocateClusters(FileState& file, std::uint64_t count, SimTime t,
-                                     std::vector<BlockRecord>* out) {
+                                     TraceBuilder* out) {
   for (std::uint64_t n = 0; n < count; ++n) {
     // Next-fit scan from the rotating cursor.
     std::uint32_t chosen = ~std::uint32_t{0};
@@ -125,7 +123,7 @@ bool FatFileSystem::AllocateClusters(FileState& file, std::uint64_t count, SimTi
   return true;
 }
 
-void FatFileSystem::FreeClusters(FileState& file, SimTime t, std::vector<BlockRecord>* out) {
+void FatFileSystem::FreeClusters(FileState& file, SimTime t, TraceBuilder* out) {
   for (const std::uint32_t cluster : file.clusters) {
     cluster_used_[cluster] = false;
     EmitFatWrite(cluster, t, out);
@@ -137,7 +135,7 @@ FatFileSystem::FileState& FatFileSystem::GetOrCreateFile(std::uint32_t file_id,
                                                          bool created_by_write,
                                                          std::uint64_t initial_bytes,
                                                          SimTime t,
-                                                         std::vector<BlockRecord>* out) {
+                                                         TraceBuilder* out) {
   const auto it = files_.find(file_id);
   if (it != files_.end()) {
     return it->second;
@@ -161,7 +159,7 @@ FatFileSystem::FileState& FatFileSystem::GetOrCreateFile(std::uint32_t file_id,
   return entry;
 }
 
-BlockTrace FatFileSystem::Lower(const Trace& trace) {
+TraceView FatFileSystem::Lower(const Trace& trace) {
   MOBISIM_CHECK(trace.block_bytes == config_.block_bytes);
 
   // Pass 1: maximum size each file reaches (for pre-existing allocation).
@@ -173,19 +171,16 @@ BlockTrace FatFileSystem::Lower(const Trace& trace) {
     }
   }
 
-  BlockTrace out;
-  out.name = trace.name + "+fat";
-  out.block_bytes = config_.block_bytes;
-  out.total_blocks = total_blocks_;
-  out.records.reserve(trace.records.size() * 2);
+  TraceBuilder out(trace.name + "+fat", config_.block_bytes);
+  out.Reserve(trace.records.size() * 2);
 
   for (const TraceRecord& rec : trace.records) {
     pending_fat_blocks_.clear();
     if (rec.op == OpType::kErase) {
       const auto it = files_.find(rec.file_id);
       if (it != files_.end()) {
-        FreeClusters(it->second, rec.time_us, &out.records);
-        EmitDirWrite(it->second, rec.time_us, &out.records);
+        FreeClusters(it->second, rec.time_us, &out);
+        EmitDirWrite(it->second, rec.time_us, &out);
         files_.erase(it);
         ++stats_.files_deleted;
       }
@@ -193,16 +188,16 @@ BlockTrace FatFileSystem::Lower(const Trace& trace) {
     }
 
     FileState& file = GetOrCreateFile(rec.file_id, rec.op == OpType::kWrite,
-                                      max_bytes[rec.file_id], rec.time_us, &out.records);
+                                      max_bytes[rec.file_id], rec.time_us, &out);
     // Grow the chain if this access reaches beyond it (recreation after a
     // delete, or growth past the silent preallocation).
     const std::uint64_t needed_blocks =
         (rec.offset + std::max<std::uint64_t>(rec.size_bytes, 1) + config_.block_bytes - 1) /
         config_.block_bytes;
     if (needed_blocks > file.clusters.size()) {
-      MOBISIM_CHECK(AllocateClusters(file, needed_blocks - file.clusters.size(), rec.time_us,
-                                     &out.records) &&
-                    "FAT volume full");
+      MOBISIM_CHECK(
+        AllocateClusters(file, needed_blocks - file.clusters.size(), rec.time_us, &out) &&
+        "FAT volume full");
     }
 
     // Data traffic: one block-level record per contiguous cluster run.
@@ -220,7 +215,7 @@ BlockTrace FatFileSystem::Lower(const Trace& trace) {
         data.lba = data_begin() + file.clusters[run_start];
         data.block_count = static_cast<std::uint32_t>(b - run_start + 1);
         data.file_id = rec.file_id;
-        out.records.push_back(data);
+        out.Append(data);
         if (rec.op == OpType::kRead) {
           stats_.data_blocks_read += data.block_count;
         } else {
@@ -231,7 +226,7 @@ BlockTrace FatFileSystem::Lower(const Trace& trace) {
     }
 
     if (rec.op == OpType::kWrite && config_.dir_update_per_write) {
-      EmitDirWrite(file, rec.time_us, &out.records);
+      EmitDirWrite(file, rec.time_us, &out);
     }
   }
 
@@ -248,7 +243,7 @@ BlockTrace FatFileSystem::Lower(const Trace& trace) {
     extents.Add(static_cast<double>(runs));
   }
   stats_.mean_extents_per_file = extents.mean();
-  return out;
+  return out.Finish(total_blocks_);
 }
 
 }  // namespace mobisim

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "src/trace/trace_record.h"
+#include "src/trace/trace_view.h"
 
 namespace mobisim {
 
@@ -65,7 +66,7 @@ class FatFileSystem {
   // Files first seen via a read are treated as pre-existing (their clusters
   // are allocated silently at mount); files first seen via a write are
   // created, with allocation traffic.
-  BlockTrace Lower(const Trace& trace);
+  TraceView Lower(const Trace& trace);
 
   const FatStats& stats() const { return stats_; }
 
@@ -89,14 +90,13 @@ class FatFileSystem {
 
   // Allocates `count` clusters next-fit; emits FAT writes into `out`.
   // Returns false if the volume is full.
-  bool AllocateClusters(FileState& file, std::uint64_t count, SimTime t,
-                        std::vector<BlockRecord>* out);
-  void FreeClusters(FileState& file, SimTime t, std::vector<BlockRecord>* out);
-  void EmitFatWrite(std::uint32_t cluster, SimTime t, std::vector<BlockRecord>* out);
-  void EmitDirWrite(const FileState& file, SimTime t, std::vector<BlockRecord>* out);
+  bool AllocateClusters(FileState& file, std::uint64_t count, SimTime t, TraceBuilder* out);
+  void FreeClusters(FileState& file, SimTime t, TraceBuilder* out);
+  void EmitFatWrite(std::uint32_t cluster, SimTime t, TraceBuilder* out);
+  void EmitDirWrite(const FileState& file, SimTime t, TraceBuilder* out);
   FileState& GetOrCreateFile(std::uint32_t file_id, bool created_by_write,
                              std::uint64_t initial_bytes, SimTime t,
-                             std::vector<BlockRecord>* out);
+                             TraceBuilder* out);
 
   FatConfig config_;
   std::uint64_t total_blocks_;

@@ -18,7 +18,7 @@ const char* OpTypeName(OpType op) {
   return "unknown";
 }
 
-BlockTrace BlockMapper::Map(const Trace& trace) {
+TraceView BlockMapper::Map(const Trace& trace) {
   MOBISIM_CHECK(trace.block_bytes > 0);
   const std::uint64_t block = trace.block_bytes;
 
@@ -35,10 +35,8 @@ BlockTrace BlockMapper::Map(const Trace& trace) {
   }
 
   // Pass 2: allocate extents in order of first appearance and emit records.
-  BlockTrace out;
-  out.name = trace.name;
-  out.block_bytes = trace.block_bytes;
-  out.records.reserve(trace.records.size());
+  TraceBuilder out(trace.name, trace.block_bytes);
+  out.Reserve(trace.records.size());
 
   std::unordered_map<std::uint32_t, Extent> extents;
   std::uint64_t next_block = 0;
@@ -68,10 +66,9 @@ BlockTrace BlockMapper::Map(const Trace& trace) {
       block_rec.lba = extent.first_block + first;
       block_rec.block_count = static_cast<std::uint32_t>(last - first + 1);
     }
-    out.records.push_back(block_rec);
+    out.Append(block_rec);
   }
-  out.total_blocks = next_block;
-  return out;
+  return out.Finish(next_block);
 }
 
 }  // namespace mobisim

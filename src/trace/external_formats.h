@@ -13,18 +13,21 @@
 //        <timestamp-ms> <devno> <blkno> <size-in-blocks> <flags>
 //    where bit 0 of flags set means a read (DiskSim convention).
 //
-// Both importers produce a BlockTrace directly (these are disk-level traces;
-// like the paper's hp trace they should be simulated without a DRAM cache).
-// Requests for devices other than `device_filter` are dropped when the
-// filter is >= 0.
+// Both importers produce a block-level TraceView directly, sorted by time
+// (these are disk-level traces; like the paper's hp trace they should be
+// simulated without a DRAM cache).  Requests for devices other than
+// `device_filter` are dropped when the filter is >= 0.  A request the
+// simulator cannot represent is an error, not a silent truncation: one that
+// spans more than 2^32-1 blocks, one whose end lies past 2^64 bytes, and a
+// timestamp outside +-2^63 microseconds.  On any error the importers return
+// an empty (null) view and describe the line in `error`.
 #ifndef MOBISIM_SRC_TRACE_EXTERNAL_FORMATS_H_
 #define MOBISIM_SRC_TRACE_EXTERNAL_FORMATS_H_
 
 #include <iosfwd>
-#include <optional>
 #include <string>
 
-#include "src/trace/trace_record.h"
+#include "src/trace/trace_view.h"
 
 namespace mobisim {
 
@@ -34,8 +37,8 @@ struct HplImportOptions {
   int device_filter = -1;  // -1 = accept all devices
 };
 
-std::optional<BlockTrace> ImportHplTrace(std::istream& in, const HplImportOptions& options,
-                                         std::string* error = nullptr);
+TraceView ImportHplTrace(std::istream& in, const HplImportOptions& options,
+                         std::string* error = nullptr);
 
 struct DiskSimImportOptions {
   std::uint32_t disksim_block_bytes = 512;  // DiskSim's block unit
@@ -43,9 +46,8 @@ struct DiskSimImportOptions {
   int device_filter = -1;
 };
 
-std::optional<BlockTrace> ImportDiskSimTrace(std::istream& in,
-                                             const DiskSimImportOptions& options,
-                                             std::string* error = nullptr);
+TraceView ImportDiskSimTrace(std::istream& in, const DiskSimImportOptions& options,
+                             std::string* error = nullptr);
 
 }  // namespace mobisim
 

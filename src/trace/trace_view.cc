@@ -2,48 +2,38 @@
 
 namespace mobisim {
 
-TraceView TraceView::FromBlockTrace(const BlockTrace& trace) {
-  auto storage = std::make_shared<TraceViewStorage>();
-  storage->name = trace.name;
-  storage->block_bytes = trace.block_bytes;
-  storage->total_blocks = trace.total_blocks;
-  storage->record_count = trace.records.size();
-  storage->zero_copy = false;
-
-  const std::size_t n = trace.records.size();
-  storage->own_times.reserve(n);
-  storage->own_lbas.reserve(n);
-  storage->own_counts.reserve(n);
-  storage->own_file_ids.reserve(n);
-  storage->own_ops.reserve(n);
-  for (const BlockRecord& rec : trace.records) {
-    storage->own_times.push_back(rec.time_us);
-    storage->own_lbas.push_back(rec.lba);
-    storage->own_counts.push_back(rec.block_count);
-    storage->own_file_ids.push_back(rec.file_id);
-    storage->own_ops.push_back(static_cast<std::uint8_t>(rec.op));
-  }
-  storage->times = storage->own_times.data();
-  storage->lbas = storage->own_lbas.data();
-  storage->counts = storage->own_counts.data();
-  storage->file_ids = storage->own_file_ids.data();
-  storage->ops = storage->own_ops.data();
-  return TraceView(std::move(storage));
+TraceBuilder::TraceBuilder(std::string name, std::uint32_t block_bytes)
+    : storage_(std::make_shared<TraceViewStorage>()) {
+  storage_->name = std::move(name);
+  storage_->block_bytes = block_bytes;
 }
 
-BlockTrace TraceView::ToBlockTrace() const {
-  BlockTrace trace;
-  if (storage_ == nullptr) {
-    return trace;
-  }
-  trace.name = storage_->name;
-  trace.block_bytes = storage_->block_bytes;
-  trace.total_blocks = storage_->total_blocks;
-  trace.records.reserve(storage_->record_count);
-  for (std::size_t i = 0; i < storage_->record_count; ++i) {
-    trace.records.push_back(record(i));
-  }
-  return trace;
+void TraceBuilder::Reserve(std::size_t records) {
+  storage_->own_times.reserve(records);
+  storage_->own_lbas.reserve(records);
+  storage_->own_counts.reserve(records);
+  storage_->own_file_ids.reserve(records);
+  storage_->own_ops.reserve(records);
+}
+
+void TraceBuilder::Append(const BlockRecord& rec) {
+  storage_->own_times.push_back(rec.time_us);
+  storage_->own_lbas.push_back(rec.lba);
+  storage_->own_counts.push_back(rec.block_count);
+  storage_->own_file_ids.push_back(rec.file_id);
+  storage_->own_ops.push_back(static_cast<std::uint8_t>(rec.op));
+}
+
+TraceView TraceBuilder::Finish(std::uint64_t total_blocks) {
+  TraceViewStorage& s = *storage_;
+  s.total_blocks = total_blocks;
+  s.record_count = s.own_times.size();
+  s.times = s.own_times.data();
+  s.lbas = s.own_lbas.data();
+  s.counts = s.own_counts.data();
+  s.file_ids = s.own_file_ids.data();
+  s.ops = s.own_ops.data();
+  return TraceView(std::move(storage_));
 }
 
 }  // namespace mobisim

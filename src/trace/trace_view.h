@@ -1,13 +1,15 @@
-// Read-only, column-oriented view of a block trace.
+// Read-only, column-oriented block trace: the one form a block-level
+// workload takes, from the producer to the simulator's kernel.
 //
 // The simulator's per-record loop reads five fields per record; a TraceView
 // hands it five parallel arrays (structure-of-arrays) instead of a vector of
 // structs.  The columns are backed either by an mmap'd trace-cache entry
 // (the zero-copy path: the `.mtc` v2 layout on disk IS the column layout,
-// 8-byte aligned, so the file pages are walked in place) or by owned vectors
-// copied out of a BlockTrace (generation, or the fallback when an entry
-// cannot be mapped).  Both backings expose identical data, so simulation
-// results are byte-identical whichever path produced the view.
+// 8-byte aligned, so the file pages are walked in place) or by owned vectors,
+// which a TraceBuilder fills for the producers (BlockMapper, FatFileSystem,
+// the HPL/DiskSim importers) and the cache parser decodes into when an
+// entry cannot be addressed in place.  Both backings expose identical data,
+// so simulation results are byte-identical whichever path produced the view.
 //
 // Views are cheap to copy (one shared_ptr) and safe to share across sweep
 // worker threads — the backing is immutable after construction.  A view
@@ -27,9 +29,9 @@
 
 namespace mobisim {
 
-// The immutable backing of a TraceView.  Filled either by
-// TraceView::FromBlockTrace (owned vectors) or by the trace cache's mmap
-// loader (column pointers into `map`).  Consumers never touch this directly.
+// The immutable backing of a TraceView.  Filled either by a TraceBuilder
+// (owned vectors) or by the trace cache's parser (column pointers into
+// `map`, or decoded owned vectors).  Consumers never touch this directly.
 struct TraceViewStorage {
   std::string name;
   std::uint32_t block_bytes = 0;
@@ -37,7 +39,7 @@ struct TraceViewStorage {
   std::size_t record_count = 0;
   bool zero_copy = false;
 
-  // Owned columns (copy path); unused when the view maps a file.
+  // Owned columns (built or decoded); unused when the view maps a file.
   std::vector<SimTime> own_times;
   std::vector<std::uint64_t> own_lbas;
   std::vector<std::uint32_t> own_counts;
@@ -61,15 +63,14 @@ class TraceView {
   explicit TraceView(std::shared_ptr<const TraceViewStorage> storage)
       : storage_(std::move(storage)) {}
 
-  // Copies a BlockTrace into owned columns (the non-mmap backing).
-  static TraceView FromBlockTrace(const BlockTrace& trace);
-
   bool empty() const { return storage_ == nullptr || storage_->record_count == 0; }
   explicit operator bool() const { return storage_ != nullptr; }
 
   const std::string& name() const { return storage_->name; }
   std::uint32_t block_bytes() const { return storage_->block_bytes; }
+  // One past the highest LBA any record touches (the address-space size).
   std::uint64_t total_blocks() const { return storage_->total_blocks; }
+  std::uint64_t total_bytes() const { return total_blocks() * block_bytes(); }
   std::size_t size() const { return storage_ == nullptr ? 0 : storage_->record_count; }
   // True when the columns point into a mapped cache entry (no copy was made).
   bool zero_copy() const { return storage_ != nullptr && storage_->zero_copy; }
@@ -91,11 +92,24 @@ class TraceView {
     return rec;
   }
 
-  // Materializes a row-form copy (tests, format round-trips).
-  BlockTrace ToBlockTrace() const;
-
  private:
   std::shared_ptr<const TraceViewStorage> storage_;
+};
+
+// Appends block records into owned columns, then seals them into a view.
+class TraceBuilder {
+ public:
+  TraceBuilder(std::string name, std::uint32_t block_bytes);
+
+  void Reserve(std::size_t records);
+  void Append(const BlockRecord& rec);
+
+  // Seals the columns into a view over `total_blocks` blocks.  The builder
+  // is spent afterwards.
+  TraceView Finish(std::uint64_t total_blocks);
+
+ private:
+  std::shared_ptr<TraceViewStorage> storage_;
 };
 
 }  // namespace mobisim

@@ -18,16 +18,16 @@ TEST(HplImportTest, ParsesByteOffsets) {
   options.block_bytes = 1024;
   std::string error;
   const auto trace = ImportHplTrace(in, options, &error);
-  ASSERT_TRUE(trace.has_value()) << error;
-  ASSERT_EQ(trace->records.size(), 3u);
-  EXPECT_EQ(trace->records[0].op, OpType::kRead);
-  EXPECT_EQ(trace->records[0].lba, 0u);
-  EXPECT_EQ(trace->records[0].block_count, 4u);
-  EXPECT_EQ(trace->records[1].op, OpType::kWrite);
-  EXPECT_EQ(trace->records[1].lba, 8u);
-  EXPECT_EQ(trace->records[1].block_count, 2u);
-  EXPECT_EQ(trace->records[1].time_us, 125000);
-  EXPECT_EQ(trace->total_blocks, 10u);
+  ASSERT_TRUE(trace) << error;
+  ASSERT_EQ(trace.size(), 3u);
+  EXPECT_EQ(trace.record(0).op, OpType::kRead);
+  EXPECT_EQ(trace.record(0).lba, 0u);
+  EXPECT_EQ(trace.record(0).block_count, 4u);
+  EXPECT_EQ(trace.record(1).op, OpType::kWrite);
+  EXPECT_EQ(trace.record(1).lba, 8u);
+  EXPECT_EQ(trace.record(1).block_count, 2u);
+  EXPECT_EQ(trace.record(1).time_us, 125000);
+  EXPECT_EQ(trace.total_blocks(), 10u);
 }
 
 TEST(HplImportTest, BlockOffsets) {
@@ -35,9 +35,9 @@ TEST(HplImportTest, BlockOffsets) {
   HplImportOptions options;
   options.offsets_in_bytes = false;
   const auto trace = ImportHplTrace(in, options);
-  ASSERT_TRUE(trace.has_value());
-  EXPECT_EQ(trace->records[0].lba, 100u);
-  EXPECT_EQ(trace->records[0].block_count, 4u);
+  ASSERT_TRUE(trace);
+  EXPECT_EQ(trace.record(0).lba, 100u);
+  EXPECT_EQ(trace.record(0).block_count, 4u);
 }
 
 TEST(HplImportTest, DeviceFilter) {
@@ -48,21 +48,21 @@ TEST(HplImportTest, DeviceFilter) {
   HplImportOptions options;
   options.device_filter = 0;
   const auto trace = ImportHplTrace(in, options);
-  ASSERT_TRUE(trace.has_value());
-  EXPECT_EQ(trace->records.size(), 2u);
+  ASSERT_TRUE(trace);
+  EXPECT_EQ(trace.size(), 2u);
 }
 
 TEST(HplImportTest, RejectsMalformed) {
   std::istringstream bad_op("0.0 0 0 1024 X\n");
   std::string error;
-  EXPECT_FALSE(ImportHplTrace(bad_op, HplImportOptions{}, &error).has_value());
+  EXPECT_FALSE(ImportHplTrace(bad_op, HplImportOptions{}, &error));
   EXPECT_NE(error.find("line 1"), std::string::npos);
 
   std::istringstream truncated("0.0 0 0\n");
-  EXPECT_FALSE(ImportHplTrace(truncated, HplImportOptions{}, &error).has_value());
+  EXPECT_FALSE(ImportHplTrace(truncated, HplImportOptions{}, &error));
 
   std::istringstream empty("# nothing\n");
-  EXPECT_FALSE(ImportHplTrace(empty, HplImportOptions{}, &error).has_value());
+  EXPECT_FALSE(ImportHplTrace(empty, HplImportOptions{}, &error));
 }
 
 TEST(HplImportTest, SortsOutOfOrderTimestamps) {
@@ -70,9 +70,51 @@ TEST(HplImportTest, SortsOutOfOrderTimestamps) {
       "2.0 0 0 1024 R\n"
       "1.0 0 1024 1024 W\n");
   const auto trace = ImportHplTrace(in, HplImportOptions{});
-  ASSERT_TRUE(trace.has_value());
-  EXPECT_LT(trace->records[0].time_us, trace->records[1].time_us);
-  EXPECT_EQ(trace->records[0].op, OpType::kWrite);
+  ASSERT_TRUE(trace);
+  EXPECT_LT(trace.record(0).time_us, trace.record(1).time_us);
+  EXPECT_EQ(trace.record(0).op, OpType::kWrite);
+}
+
+TEST(HplImportTest, RejectsRequestSpanningMoreThanUint32Blocks) {
+  // 2^42 bytes is 2^32 1-KB blocks: one more than a record can count.
+  std::istringstream in("0.0 0 0 4398046511104 W\n");
+  std::string error;
+  EXPECT_FALSE(ImportHplTrace(in, HplImportOptions{}, &error));
+  EXPECT_NE(error.find("line 1: request too large"), std::string::npos) << error;
+
+  // The largest representable request still imports.
+  std::istringstream fits("0.0 0 0 4398046510080 W\n");
+  const TraceView trace = ImportHplTrace(fits, HplImportOptions{}, &error);
+  ASSERT_TRUE(trace) << error;
+  EXPECT_EQ(trace.record(0).block_count, 4294967295u);
+}
+
+TEST(HplImportTest, RejectsRequestEndingPastTheAddressSpace) {
+  // start + length wraps 2^64.
+  std::istringstream wraps("0.0 0 18446744073709551000 4096 W\n");
+  std::string error;
+  EXPECT_FALSE(ImportHplTrace(wraps, HplImportOptions{}, &error));
+  EXPECT_NE(error.find("request too large"), std::string::npos) << error;
+
+  // No wrap in bytes, but the last 1-KB block ends past 2^64 bytes.
+  std::istringstream last_block("0.0 0 18446744073709551000 16 W\n");
+  EXPECT_FALSE(ImportHplTrace(last_block, HplImportOptions{}, &error));
+
+  // Block offsets: lba + count would wrap.
+  std::istringstream blocks("0.0 0 18446744073709551000 4 W\n");
+  HplImportOptions options;
+  options.offsets_in_bytes = false;
+  EXPECT_FALSE(ImportHplTrace(blocks, options, &error));
+}
+
+TEST(HplImportTest, RejectsTimestampOutOfRange) {
+  std::string error;
+  std::istringstream huge("0.0 0 0 1024 R\n1e300 0 0 1024 R\n");
+  EXPECT_FALSE(ImportHplTrace(huge, HplImportOptions{}, &error));
+  EXPECT_NE(error.find("line 2: timestamp out of range"), std::string::npos) << error;
+
+  std::istringstream negative("-1e300 0 0 1024 R\n");
+  EXPECT_FALSE(ImportHplTrace(negative, HplImportOptions{}, &error));
 }
 
 TEST(DiskSimImportTest, ParsesAndScalesBlocks) {
@@ -83,13 +125,31 @@ TEST(DiskSimImportTest, ParsesAndScalesBlocks) {
   DiskSimImportOptions options;
   std::string error;
   const auto trace = ImportDiskSimTrace(in, options, &error);
-  ASSERT_TRUE(trace.has_value()) << error;
-  ASSERT_EQ(trace->records.size(), 2u);
-  EXPECT_EQ(trace->records[0].op, OpType::kRead);
-  EXPECT_EQ(trace->records[0].lba, 8u);
-  EXPECT_EQ(trace->records[0].block_count, 4u);
-  EXPECT_EQ(trace->records[1].op, OpType::kWrite);
-  EXPECT_EQ(trace->records[1].time_us, 10500);
+  ASSERT_TRUE(trace) << error;
+  ASSERT_EQ(trace.size(), 2u);
+  EXPECT_EQ(trace.record(0).op, OpType::kRead);
+  EXPECT_EQ(trace.record(0).lba, 8u);
+  EXPECT_EQ(trace.record(0).block_count, 4u);
+  EXPECT_EQ(trace.record(1).op, OpType::kWrite);
+  EXPECT_EQ(trace.record(1).time_us, 10500);
+}
+
+TEST(DiskSimImportTest, RejectsRequestSpanningMoreThanUint32Blocks) {
+  // 2^33 512-byte sectors are 2^32 1-KB blocks.
+  std::istringstream in("0.0 0 0 8589934592 1\n");
+  std::string error;
+  EXPECT_FALSE(ImportDiskSimTrace(in, DiskSimImportOptions{}, &error));
+  EXPECT_NE(error.find("line 1: request too large"), std::string::npos) << error;
+
+  std::istringstream wraps("0.0 0 18446744073709551000 1024 1\n");
+  EXPECT_FALSE(ImportDiskSimTrace(wraps, DiskSimImportOptions{}, &error));
+}
+
+TEST(DiskSimImportTest, RejectsTimestampOutOfRange) {
+  std::istringstream in("1e300 0 0 2 1\n");
+  std::string error;
+  EXPECT_FALSE(ImportDiskSimTrace(in, DiskSimImportOptions{}, &error));
+  EXPECT_NE(error.find("line 1: timestamp out of range"), std::string::npos) << error;
 }
 
 TEST(DiskSimImportTest, LocalityGroupsShareFileIds) {
@@ -98,9 +158,9 @@ TEST(DiskSimImportTest, LocalityGroupsShareFileIds) {
       "1.0 0 4 2 1\n"      // same 64-block neighbourhood
       "2.0 0 4000 2 1\n");  // far away
   const auto trace = ImportDiskSimTrace(in, DiskSimImportOptions{});
-  ASSERT_TRUE(trace.has_value());
-  EXPECT_EQ(trace->records[0].file_id, trace->records[1].file_id);
-  EXPECT_NE(trace->records[0].file_id, trace->records[2].file_id);
+  ASSERT_TRUE(trace);
+  EXPECT_EQ(trace.record(0).file_id, trace.record(1).file_id);
+  EXPECT_NE(trace.record(0).file_id, trace.record(2).file_id);
 }
 
 }  // namespace

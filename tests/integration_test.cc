@@ -24,8 +24,8 @@ TEST(IntegrationTest, FatLoweredTraceSimulates) {
   fat_config.capacity_bytes = 32ull * 1024 * 1024;
   fat_config.dir_entries = 1024;
   FatFileSystem fat(fat_config);
-  const BlockTrace blocks = fat.Lower(trace);
-  ASSERT_GT(blocks.records.size(), trace.records.size());  // metadata added
+  const TraceView blocks = fat.Lower(trace);
+  ASSERT_GT(blocks.size(), trace.records.size());  // metadata added
 
   for (const DeviceSpec& spec : {Cu140Datasheet(), IntelCardDatasheet()}) {
     SimConfig config = MakePaperConfig(spec, 1024 * 1024);
@@ -49,10 +49,10 @@ TEST(IntegrationTest, ImportedHplTraceSimulates) {
   }
   std::istringstream in(raw.str());
   const auto blocks = ImportHplTrace(in, HplImportOptions{});
-  ASSERT_TRUE(blocks.has_value());
+  ASSERT_TRUE(blocks);
 
   SimConfig config = MakePaperConfig(Cu140Datasheet(), 0);
-  const SimResult result = RunSimulation(*blocks, config);
+  const SimResult result = RunSimulation(blocks, config);
   EXPECT_GT(result.counters.spinups, 5u);  // idle gaps spin the disk down
   EXPECT_GT(result.total_energy_j(), 0.0);
 }
@@ -73,7 +73,7 @@ TEST(IntegrationTest, TraceFileRoundTripPreservesSimulation) {
 
 TEST(IntegrationTest, GeometryAndAverageModelsAgreeOnEnergyScale) {
   const Trace trace = GenerateNamedWorkload("synth", 0.1);
-  const BlockTrace blocks = BlockMapper::Map(trace);
+  const TraceView blocks = BlockMapper::Map(trace);
   SimConfig average = MakePaperConfig(Cu140Datasheet(), 1024 * 1024);
   SimConfig geometry = average;
   geometry.use_disk_geometry = true;

@@ -10,26 +10,26 @@
 namespace mobisim {
 namespace {
 
-BlockTrace TinyTrace() {
+TraceView TinyTrace() {
   const Trace trace = GenerateNamedWorkload("synth", 0.1);
   return BlockMapper::Map(trace);
 }
 
 TEST(SimulatorTest, WarmFractionSplitsRecords) {
-  const BlockTrace trace = TinyTrace();
+  const TraceView trace = TinyTrace();
   SimConfig config = MakePaperConfig(Sdp5Datasheet(), 2 * 1024 * 1024);
   config.warm_fraction = 0.25;
   const SimResult result = RunSimulation(trace, config);
-  EXPECT_EQ(result.warm_record_count, trace.records.size() / 4);
+  EXPECT_EQ(result.warm_record_count, trace.size() / 4);
   std::uint64_t post_warm_rw = 0;
-  for (std::uint64_t i = result.warm_record_count; i < trace.records.size(); ++i) {
-    post_warm_rw += trace.records[i].op != OpType::kErase ? 1 : 0;
+  for (std::uint64_t i = result.warm_record_count; i < trace.size(); ++i) {
+    post_warm_rw += trace.record(i).op != OpType::kErase ? 1 : 0;
   }
   EXPECT_EQ(result.overall_response_ms.count(), post_warm_rw);
 }
 
 TEST(SimulatorTest, PostWarmEnergyLessThanWholeRun) {
-  const BlockTrace trace = TinyTrace();
+  const TraceView trace = TinyTrace();
   SimConfig config = MakePaperConfig(Cu140Datasheet(), 2 * 1024 * 1024);
   SimConfig no_warm = config;
   no_warm.warm_fraction = 0.0;
@@ -40,7 +40,7 @@ TEST(SimulatorTest, PostWarmEnergyLessThanWholeRun) {
 }
 
 TEST(SimulatorTest, Deterministic) {
-  const BlockTrace trace = TinyTrace();
+  const TraceView trace = TinyTrace();
   SimConfig config = MakePaperConfig(IntelCardDatasheet(), 2 * 1024 * 1024);
   const SimResult a = RunSimulation(trace, config);
   const SimResult b = RunSimulation(trace, config);
@@ -51,7 +51,7 @@ TEST(SimulatorTest, Deterministic) {
 }
 
 TEST(SimulatorTest, DeviceModeBreakdownCoversTheRun) {
-  const BlockTrace trace = TinyTrace();
+  const TraceView trace = TinyTrace();
   SimConfig config = MakePaperConfig(Cu140Datasheet(), 2 * 1024 * 1024);
   const SimResult result = RunSimulation(trace, config);
   ASSERT_EQ(result.device_mode_seconds.size(), 5u);  // disk has 5 modes
@@ -61,7 +61,7 @@ TEST(SimulatorTest, DeviceModeBreakdownCoversTheRun) {
     total_sec += seconds;
   }
   // Mode times tile the whole run (within rounding).
-  const double span_sec = SecFromUs(trace.records.back().time_us);
+  const double span_sec = SecFromUs(trace.record(trace.size() - 1).time_us);
   EXPECT_NEAR(total_sec, span_sec, 0.05 * span_sec + 5.0);
   EXPECT_FALSE(result.device_energy_breakdown.empty());
 }
@@ -81,7 +81,7 @@ TEST(SimulatorTest, HpRunsWithoutDram) {
 }
 
 TEST(SimulatorTest, ResponsesSplitByOpType) {
-  const BlockTrace trace = TinyTrace();
+  const TraceView trace = TinyTrace();
   SimConfig config = MakePaperConfig(Sdp5Datasheet(), 2 * 1024 * 1024);
   const SimResult result = RunSimulation(trace, config);
   EXPECT_EQ(result.read_response_ms.count() + result.write_response_ms.count(),
@@ -91,7 +91,7 @@ TEST(SimulatorTest, ResponsesSplitByOpType) {
 
 // The paper's headline orderings, checked end-to-end on the synth workload.
 TEST(SimulatorOrderingTest, FlashBeatsDiskOnEnergy) {
-  const BlockTrace trace = TinyTrace();
+  const TraceView trace = TinyTrace();
   const double disk =
       RunSimulation(trace, MakePaperConfig(Cu140Datasheet(), 2 * 1024 * 1024))
           .total_energy_j();
@@ -108,7 +108,7 @@ TEST(SimulatorOrderingTest, FlashBeatsDiskOnEnergy) {
 }
 
 TEST(SimulatorOrderingTest, FlashCardReadsBeatFlashDiskReads) {
-  const BlockTrace trace = TinyTrace();
+  const TraceView trace = TinyTrace();
   const SimResult flash_disk =
       RunSimulation(trace, MakePaperConfig(Sdp5Datasheet(), 0));
   const SimResult card = RunSimulation(trace, MakePaperConfig(IntelCardDatasheet(), 0));
@@ -116,7 +116,7 @@ TEST(SimulatorOrderingTest, FlashCardReadsBeatFlashDiskReads) {
 }
 
 TEST(SimulatorOrderingTest, DiskWithSramBeatsFlashOnWrites) {
-  const BlockTrace trace = TinyTrace();
+  const TraceView trace = TinyTrace();
   const SimResult disk =
       RunSimulation(trace, MakePaperConfig(Cu140Datasheet(), 2 * 1024 * 1024));
   const SimResult flash_disk =
@@ -125,7 +125,7 @@ TEST(SimulatorOrderingTest, DiskWithSramBeatsFlashOnWrites) {
 }
 
 TEST(SimulatorOrderingTest, AsyncErasureImprovesWrites) {
-  const BlockTrace trace = TinyTrace();
+  const TraceView trace = TinyTrace();
   SimConfig sync_config = MakePaperConfig(Sdp5aDatasheet(), 2 * 1024 * 1024);
   sync_config.flash_async_erasure = false;
   SimConfig async_config = MakePaperConfig(Sdp5aDatasheet(), 2 * 1024 * 1024);
@@ -136,7 +136,7 @@ TEST(SimulatorOrderingTest, AsyncErasureImprovesWrites) {
 }
 
 TEST(SimulatorOrderingTest, UtilizationRaisesFlashCardEnergy) {
-  const BlockTrace trace = TinyTrace();
+  const TraceView trace = TinyTrace();
   SimConfig low = MakePaperConfig(IntelCardDatasheet(), 2 * 1024 * 1024);
   low.flash_utilization = 0.40;
   low.capacity_bytes = 16 * 1024 * 1024;

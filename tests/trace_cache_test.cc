@@ -1,5 +1,7 @@
 // Tests for the persistent fingerprint-keyed trace cache: serialization
-// round-trips, fingerprint sensitivity, hit/miss/corruption accounting,
+// round-trips and the one `.mtc` parser's rejections (truncation, bit flips,
+// records outside the address space), fingerprint sensitivity,
+// hit/miss/corruption accounting,
 // byte-identical results with the cache on/off/cold/warm (including under
 // parallel sweeps), and the maintenance surface (list + gc).
 #include <cstdio>
@@ -19,6 +21,7 @@
 #include "src/trace/trace_cache.h"
 #include "src/trace/trace_io.h"
 #include "src/util/atomic_file.h"
+#include "src/util/hash.h"
 
 namespace mobisim {
 namespace {
@@ -30,18 +33,18 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
-BlockTrace SmallTrace() {
+TraceView SmallTrace() {
   return BlockMapper::Map(GenerateNamedWorkload("synth", 0.02, 7));
 }
 
-bool SameTrace(const BlockTrace& a, const BlockTrace& b) {
-  if (a.name != b.name || a.block_bytes != b.block_bytes ||
-      a.total_blocks != b.total_blocks || a.records.size() != b.records.size()) {
+bool SameTrace(const TraceView& a, const TraceView& b) {
+  if (a.name() != b.name() || a.block_bytes() != b.block_bytes() ||
+      a.total_blocks() != b.total_blocks() || a.size() != b.size()) {
     return false;
   }
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    const BlockRecord& x = a.records[i];
-    const BlockRecord& y = b.records[i];
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const BlockRecord x = a.record(i);
+    const BlockRecord y = b.record(i);
     if (x.time_us != y.time_us || x.op != y.op || x.lba != y.lba ||
         x.block_count != y.block_count || x.file_id != y.file_id) {
       return false;
@@ -50,15 +53,52 @@ bool SameTrace(const BlockTrace& a, const BlockTrace& b) {
   return true;
 }
 
+// Little-endian field access into serialized `.mtc` v2 bytes (header:
+// magic, version, block_bytes @8, name_len @12, record count @16,
+// total_blocks @24; the name padded to 8 bytes; then the times, lbas,
+// counts, file_ids and ops columns, each padded to 8 bytes).
+std::uint64_t ReadLe(const std::string& data, std::size_t pos, int bytes) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < bytes; ++i) {
+    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(data[pos + i])) << (8 * i);
+  }
+  return v;
+}
+
+void WriteLe(std::string* data, std::size_t pos, int bytes, std::uint64_t v) {
+  for (int i = 0; i < bytes; ++i) {
+    (*data)[pos + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
+std::size_t LbaOffset(const std::string& data, std::size_t record) {
+  const std::size_t name_len = ReadLe(data, 12, 4);
+  const std::size_t records = ReadLe(data, 16, 8);
+  return 32 + (name_len + 7) / 8 * 8 + 8 * records + 8 * record;
+}
+
+std::size_t OpOffset(const std::string& data, std::size_t record) {
+  const std::size_t records = ReadLe(data, 16, 8);
+  return LbaOffset(data, 0) + 8 * records + 2 * ((4 * records + 7) / 8 * 8) + record;
+}
+
+// Recomputes the footer hash, so a forged field passes the integrity check
+// and only the parser's semantic checks can reject it.
+void Reseal(std::string* data) {
+  const std::size_t footer = data->size() - 8;
+  WriteLe(data, footer, 8, Fnv1a64Wide(data->data(), footer));
+}
+
 TEST(TraceSerializationTest, RoundTripIsExact) {
-  const BlockTrace trace = SmallTrace();
+  const TraceView trace = SmallTrace();
   const std::string data = SerializeBlockTrace(trace);
   std::string error;
-  const auto back = DeserializeBlockTrace(data, &error);
-  ASSERT_TRUE(back.has_value()) << error;
-  EXPECT_TRUE(SameTrace(trace, *back));
+  const TraceView back = ParseTraceEntry(data, &error);
+  ASSERT_TRUE(back) << error;
+  EXPECT_FALSE(back.zero_copy());  // no mapping given: decoded columns
+  EXPECT_TRUE(SameTrace(trace, back));
   // Serialization is deterministic: same trace, same bytes.
-  EXPECT_EQ(data, SerializeBlockTrace(*back));
+  EXPECT_EQ(data, SerializeBlockTrace(back));
 }
 
 TEST(TraceSerializationTest, DetectsTruncationAndCorruption) {
@@ -67,20 +107,65 @@ TEST(TraceSerializationTest, DetectsTruncationAndCorruption) {
 
   for (const std::size_t cut : {std::size_t{0}, std::size_t{3}, std::size_t{17},
                                 data.size() - 1}) {
-    EXPECT_FALSE(DeserializeBlockTrace(data.substr(0, cut), &error).has_value())
-        << "cut at " << cut;
+    EXPECT_FALSE(ParseTraceEntry(data.substr(0, cut), &error)) << "cut at " << cut;
   }
   // A flipped payload byte fails the footer hash.
   std::string flipped = data;
   flipped[data.size() / 2] = static_cast<char>(flipped[data.size() / 2] ^ 0x5a);
-  EXPECT_FALSE(DeserializeBlockTrace(flipped, &error).has_value());
+  EXPECT_FALSE(ParseTraceEntry(flipped, &error));
   EXPECT_NE(error.find("hash"), std::string::npos) << error;
   // Extra trailing bytes are not silently ignored.
-  EXPECT_FALSE(DeserializeBlockTrace(data + "x", &error).has_value());
+  EXPECT_FALSE(ParseTraceEntry(data + "x", &error));
   // Wrong magic.
   std::string magic = data;
   magic[0] = 'X';
-  EXPECT_FALSE(DeserializeBlockTrace(magic, &error).has_value());
+  EXPECT_FALSE(ParseTraceEntry(magic, &error));
+  // An op byte past kErase, with a valid hash.
+  std::string op = data;
+  op[OpOffset(op, 0)] = 7;
+  Reseal(&op);
+  EXPECT_FALSE(ParseTraceEntry(op, &error));
+  EXPECT_NE(error.find("op"), std::string::npos) << error;
+}
+
+TEST(TraceSerializationTest, RejectsRecordsOutsideTheAddressSpace) {
+  const TraceView trace = SmallTrace();
+  const std::string data = SerializeBlockTrace(trace);
+  std::string error;
+  ASSERT_LT(trace.total_blocks(), 1000000000u);
+
+  // A record far past total_blocks, with a valid hash.
+  std::string far = data;
+  WriteLe(&far, LbaOffset(far, 0), 8, 1000000000);
+  Reseal(&far);
+  EXPECT_FALSE(ParseTraceEntry(far, &error));
+  EXPECT_NE(error.find("address space"), std::string::npos) << error;
+
+  // A record ending one block past the end.
+  std::string edge = data;
+  WriteLe(&edge, LbaOffset(edge, 0), 8, trace.total_blocks() - trace.counts()[0] + 1);
+  Reseal(&edge);
+  EXPECT_FALSE(ParseTraceEntry(edge, &error));
+  // ...while one ending exactly at the end is accepted.
+  std::string fits = data;
+  WriteLe(&fits, LbaOffset(fits, 0), 8, trace.total_blocks() - trace.counts()[0]);
+  Reseal(&fits);
+  EXPECT_TRUE(ParseTraceEntry(fits, &error)) << error;
+
+  // lba + count wraps 2^64 under an all-covering total_blocks.
+  std::string wraps = data;
+  WriteLe(&wraps, 24, 8, ~std::uint64_t{0});
+  WriteLe(&wraps, LbaOffset(wraps, 0), 8, ~std::uint64_t{0} - 1);
+  Reseal(&wraps);
+  ASSERT_GT(trace.counts()[0], 1u);
+  EXPECT_FALSE(ParseTraceEntry(wraps, &error));
+
+  // A zero block size.
+  std::string zero = data;
+  WriteLe(&zero, 8, 4, 0);
+  Reseal(&zero);
+  EXPECT_FALSE(ParseTraceEntry(zero, &error));
+  EXPECT_NE(error.find("block size"), std::string::npos) << error;
 }
 
 TEST(TraceFingerprintTest, SensitiveToEveryKeyComponent) {
@@ -111,30 +196,30 @@ TEST(TraceCacheTest, ColdMissStoresThenWarmHitIsBitIdentical) {
   const std::string dir = FreshDir("tc_basic");
   TraceCache cache(dir);
 
-  const auto first = LoadOrGenerateBlockTrace(&cache, "synth", 0.02, 7);
-  ASSERT_NE(first, nullptr);
+  const TraceView first = LoadOrGenerateTraceView(&cache, "synth", 0.02, 7);
+  ASSERT_TRUE(first);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().stores, 1u);
   EXPECT_EQ(cache.stats().hits, 0u);
 
   TraceCache warm(dir);
-  const auto second = LoadOrGenerateBlockTrace(&warm, "synth", 0.02, 7);
-  ASSERT_NE(second, nullptr);
+  const TraceView second = LoadOrGenerateTraceView(&warm, "synth", 0.02, 7);
+  ASSERT_TRUE(second);
   EXPECT_EQ(warm.stats().hits, 1u);
   EXPECT_EQ(warm.stats().misses, 0u);
   EXPECT_EQ(warm.stats().stores, 0u);
-  EXPECT_TRUE(SameTrace(*first, *second));
+  EXPECT_TRUE(SameTrace(first, second));
   // Bit-identical means the serializations match too.
-  EXPECT_EQ(SerializeBlockTrace(*first), SerializeBlockTrace(*second));
+  EXPECT_EQ(SerializeBlockTrace(first), SerializeBlockTrace(second));
   // And both match plain generation with no cache at all.
-  const auto plain = LoadOrGenerateBlockTrace(nullptr, "synth", 0.02, 7);
-  EXPECT_TRUE(SameTrace(*plain, *second));
+  const TraceView plain = LoadOrGenerateTraceView(nullptr, "synth", 0.02, 7);
+  EXPECT_TRUE(SameTrace(plain, second));
 }
 
 TEST(TraceCacheTest, CorruptEntryIsDetectedRemovedAndRegenerated) {
   const std::string dir = FreshDir("tc_corrupt");
   TraceCache cache(dir);
-  const auto original = LoadOrGenerateBlockTrace(&cache, "synth", 0.02, 7);
+  const TraceView original = LoadOrGenerateTraceView(&cache, "synth", 0.02, 7);
   const std::string path = cache.EntryPath(TraceCacheFingerprint("synth", 0.02, 7));
   ASSERT_TRUE(std::filesystem::exists(path));
 
@@ -142,15 +227,41 @@ TEST(TraceCacheTest, CorruptEntryIsDetectedRemovedAndRegenerated) {
   std::filesystem::resize_file(path, 17);
 
   TraceCache reread(dir);
-  const auto regenerated = LoadOrGenerateBlockTrace(&reread, "synth", 0.02, 7);
-  ASSERT_NE(regenerated, nullptr);
+  const TraceView regenerated = LoadOrGenerateTraceView(&reread, "synth", 0.02, 7);
+  ASSERT_TRUE(regenerated);
   EXPECT_EQ(reread.stats().corrupt, 1u);
   EXPECT_EQ(reread.stats().misses, 1u);
   EXPECT_EQ(reread.stats().stores, 1u);  // re-stored after regeneration
-  EXPECT_TRUE(SameTrace(*original, *regenerated));
+  EXPECT_TRUE(SameTrace(original, regenerated));
   // The re-stored entry is whole again.
   TraceCache again(dir);
-  EXPECT_NE(again.Load(TraceCacheFingerprint("synth", 0.02, 7)), nullptr);
+  EXPECT_TRUE(again.LoadView(TraceCacheFingerprint("synth", 0.02, 7)));
+}
+
+TEST(TraceCacheTest, EntryWithRecordOutsideAddressSpaceIsCorrupt) {
+  const std::string dir = FreshDir("tc_range");
+  TraceCache cache(dir);
+  const TraceView original = LoadOrGenerateTraceView(&cache, "synth", 0.02, 7);
+  const std::string path = cache.EntryPath(TraceCacheFingerprint("synth", 0.02, 7));
+
+  // Forge a record far past the address space and re-seal the footer, so
+  // the entry passes the hash check and only the range check catches it.
+  std::string data;
+  ASSERT_TRUE(ReadFileToString(path, &data));
+  WriteLe(&data, LbaOffset(data, 0), 8, 1000000000);
+  Reseal(&data);
+  ASSERT_TRUE(WriteFileAtomic(path, data));
+
+  TraceCache reread(dir);
+  const TraceView regenerated = LoadOrGenerateTraceView(&reread, "synth", 0.02, 7);
+  ASSERT_TRUE(regenerated);
+  EXPECT_EQ(reread.stats().corrupt, 1u);
+  EXPECT_EQ(reread.stats().misses, 1u);
+  EXPECT_EQ(reread.stats().hits, 0u);
+  EXPECT_EQ(reread.stats().stores, 1u);
+  EXPECT_TRUE(SameTrace(original, regenerated));
+  EXPECT_EQ(ListTraceCache(dir).size(), 1u);
+  EXPECT_TRUE(ListTraceCache(dir).front().valid);
 }
 
 TEST(TraceCacheTest, UnwritableDirectoryDegradesToGeneration) {
@@ -159,8 +270,8 @@ TEST(TraceCacheTest, UnwritableDirectoryDegradesToGeneration) {
   const std::string blocker = dir + "/file";
   std::ofstream(blocker) << "x";
   TraceCache cache(blocker + "/cache");
-  const auto trace = LoadOrGenerateBlockTrace(&cache, "synth", 0.02, 7);
-  ASSERT_NE(trace, nullptr);
+  const TraceView trace = LoadOrGenerateTraceView(&cache, "synth", 0.02, 7);
+  ASSERT_TRUE(trace);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().stores, 0u);
   EXPECT_GE(cache.stats().errors, 1u);
@@ -213,8 +324,8 @@ TEST(TraceCacheTest, ParallelSweepWithSharedCacheMatchesNoCache) {
 TEST(TraceCacheMaintenanceTest, ListReportsValidity) {
   const std::string dir = FreshDir("tc_list");
   TraceCache cache(dir);
-  LoadOrGenerateBlockTrace(&cache, "synth", 0.02, 1);
-  LoadOrGenerateBlockTrace(&cache, "synth", 0.02, 2);
+  LoadOrGenerateTraceView(&cache, "synth", 0.02, 1);
+  LoadOrGenerateTraceView(&cache, "synth", 0.02, 2);
   const std::string bad = cache.EntryPath(TraceCacheFingerprint("synth", 0.02, 2));
   std::filesystem::resize_file(bad, 10);
 
@@ -232,9 +343,9 @@ TEST(TraceCacheMaintenanceTest, ListReportsValidity) {
 TEST(TraceCacheMaintenanceTest, GcRemovesInvalidAndTempThenEvictsToBudget) {
   const std::string dir = FreshDir("tc_gc");
   TraceCache cache(dir);
-  LoadOrGenerateBlockTrace(&cache, "synth", 0.02, 1);
-  LoadOrGenerateBlockTrace(&cache, "synth", 0.02, 2);
-  LoadOrGenerateBlockTrace(&cache, "synth", 0.02, 3);
+  LoadOrGenerateTraceView(&cache, "synth", 0.02, 1);
+  LoadOrGenerateTraceView(&cache, "synth", 0.02, 2);
+  LoadOrGenerateTraceView(&cache, "synth", 0.02, 3);
   // A corrupted entry and a leftover temp file from a crashed writer.
   const std::string bad = cache.EntryPath(TraceCacheFingerprint("synth", 0.02, 3));
   std::filesystem::resize_file(bad, 5);

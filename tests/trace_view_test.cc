@@ -1,6 +1,6 @@
 // Tests for the zero-copy mmap trace path: a warm cache entry is served as
 // an mmap-backed TraceView whose records — and whose simulation results —
-// are bit-identical to the copying loader and to plain generation; a torn
+// are bit-identical to the decoded columns and to plain generation; a torn
 // entry falls back to regeneration and heals the cache; gc'ing an entry out
 // from under a live view leaves the mapping readable (POSIX unlink
 // semantics); and warm parallel sweeps stay deterministic across thread
@@ -20,6 +20,7 @@
 #include "src/trace/calibrated_workload.h"
 #include "src/trace/trace_cache.h"
 #include "src/trace/trace_view.h"
+#include "src/util/atomic_file.h"
 
 namespace mobisim {
 namespace {
@@ -31,18 +32,18 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
-BlockTrace SmallTrace() {
+TraceView SmallTrace() {
   return BlockMapper::Map(GenerateNamedWorkload("synth", 0.02, 7));
 }
 
 // Field-by-field equality of every record plus the trace-level metadata.
-void ExpectSameData(const TraceView& view, const BlockTrace& trace) {
-  ASSERT_EQ(view.size(), trace.records.size());
-  EXPECT_EQ(view.name(), trace.name);
-  EXPECT_EQ(view.block_bytes(), trace.block_bytes);
-  EXPECT_EQ(view.total_blocks(), trace.total_blocks);
-  for (std::size_t i = 0; i < trace.records.size(); ++i) {
-    const BlockRecord want = trace.records[i];
+void ExpectSameData(const TraceView& view, const TraceView& trace) {
+  ASSERT_EQ(view.size(), trace.size());
+  EXPECT_EQ(view.name(), trace.name());
+  EXPECT_EQ(view.block_bytes(), trace.block_bytes());
+  EXPECT_EQ(view.total_blocks(), trace.total_blocks());
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const BlockRecord want = trace.record(i);
     const BlockRecord got = view.record(i);
     ASSERT_EQ(got.time_us, want.time_us) << "record " << i;
     ASSERT_EQ(got.op, want.op) << "record " << i;
@@ -52,13 +53,39 @@ void ExpectSameData(const TraceView& view, const BlockTrace& trace) {
   }
 }
 
-TEST(TraceViewTest, FromBlockTraceCopiesExactly) {
-  const BlockTrace trace = SmallTrace();
-  const TraceView view = TraceView::FromBlockTrace(trace);
+TEST(TraceViewTest, BuilderCopiesExactly) {
+  const TraceView trace = SmallTrace();
+  TraceBuilder builder(trace.name(), trace.block_bytes());
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    builder.Append(trace.record(i));
+  }
+  const TraceView view = builder.Finish(trace.total_blocks());
   EXPECT_FALSE(view.zero_copy());
   ExpectSameData(view, trace);
-  // The round trip back to row form is exact too.
-  EXPECT_EQ(SerializeBlockTrace(view.ToBlockTrace()), SerializeBlockTrace(trace));
+  EXPECT_EQ(SerializeBlockTrace(view), SerializeBlockTrace(trace));
+}
+
+TEST(TraceViewTest, DecodedAndMappedEntryAreByteIdentical) {
+  const std::string dir = FreshDir("tv_decode");
+  TraceCache cache(dir);
+  LoadOrGenerateTraceView(&cache, "synth", 0.02, 7);  // populate the entry
+  const std::string fingerprint = TraceCacheFingerprint("synth", 0.02, 7);
+  std::string bytes;
+  ASSERT_TRUE(ReadFileToString(cache.EntryPath(fingerprint), &bytes));
+
+  // The same entry through both backings of the one parser: pointers into
+  // the mapping, and columns decoded into owned vectors.
+  TraceCache warm(dir);
+  const TraceView mapped = warm.LoadView(fingerprint);
+  ASSERT_TRUE(mapped.zero_copy());
+  std::string error;
+  const TraceView decoded = ParseTraceEntry(bytes, &error);
+  ASSERT_TRUE(decoded) << error;
+  EXPECT_FALSE(decoded.zero_copy());
+
+  ExpectSameData(decoded, mapped);
+  EXPECT_EQ(SerializeBlockTrace(decoded), SerializeBlockTrace(mapped));
+  EXPECT_EQ(SerializeBlockTrace(decoded), bytes);
 }
 
 TEST(TraceViewTest, WarmLoadIsZeroCopyAndBitIdentical) {
@@ -89,18 +116,18 @@ TEST(TraceViewTest, SimulationResultsIdenticalAcrossBackings) {
   TraceCache cache(dir);
   LoadOrGenerateTraceView(&cache, "synth", 0.02, 7);  // populate the entry
 
-  const BlockTrace trace = SmallTrace();
   TraceCache warm(dir);
   const TraceView view = LoadOrGenerateTraceView(&warm, "synth", 0.02, 7);
   ASSERT_TRUE(view.zero_copy());
+  const TraceView decoded = ParseTraceEntry(SerializeBlockTrace(view));
+  ASSERT_TRUE(decoded);
 
   const SimConfig config = MakePaperConfig(IntelCardDatasheet(), 512 * 1024);
-  // Same simulation through the mmap view, the owned-column view, and the
-  // row-form overload: every result field must match exactly.
+  // Same simulation through the mmap view, the generated owned-column view,
+  // and the decoded view: every result field must match exactly.
   const std::string mapped = RowToJson(ResultToRow(RunSimulation(view, config)));
-  const std::string owned =
-      RowToJson(ResultToRow(RunSimulation(TraceView::FromBlockTrace(trace), config)));
-  const std::string rows = RowToJson(ResultToRow(RunSimulation(trace, config)));
+  const std::string owned = RowToJson(ResultToRow(RunSimulation(SmallTrace(), config)));
+  const std::string rows = RowToJson(ResultToRow(RunSimulation(decoded, config)));
   EXPECT_EQ(mapped, owned);
   EXPECT_EQ(mapped, rows);
 }
