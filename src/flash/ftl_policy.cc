@@ -85,41 +85,6 @@ HostWritePlan FtlPolicy::PlanHostWrite(std::uint64_t lba, bool mapped,
   return plan;
 }
 
-namespace {
-
-// The pre-FtlPolicy victim switch, verbatim: same expressions, same casts,
-// same evaluation order, so extracted policies score byte-identically.
-double LogCleanerScore(CleaningPolicy policy, const VictimCandidate& seg,
-                       const VictimView& view) {
-  switch (policy) {
-    case CleaningPolicy::kGreedy:
-      return static_cast<double>(view.blocks_per_segment - seg.live);
-    case CleaningPolicy::kCostBenefit: {
-      const double u =
-          static_cast<double>(seg.live) / static_cast<double>(view.blocks_per_segment);
-      const double age = static_cast<double>(view.fill_sequence - seg.sequence) + 1.0;
-      return (1.0 - u) * age / (1.0 + u);
-    }
-    case CleaningPolicy::kWearAware: {
-      // Greedy, plus a bonus for under-erased segments so cold data gets
-      // rotated off low-wear areas.
-      const double invalid = static_cast<double>(view.blocks_per_segment - seg.live);
-      const double deficit =
-          static_cast<double>(view.max_erase_count - seg.erase_count) /
-          static_cast<double>(std::max<std::uint32_t>(view.max_erase_count, 1));
-      return invalid + 0.3 * deficit * static_cast<double>(view.blocks_per_segment);
-    }
-  }
-  return 0.0;
-}
-
-}  // namespace
-
-double LogStructuredFtl::ScoreVictim(const VictimCandidate& candidate,
-                                     const VictimView& view) const {
-  return LogCleanerScore(cleaner_, candidate, view);
-}
-
 // -- PageDiffFtl -----------------------------------------------------------
 
 PageDiffFtl::PageDiffFtl(CleaningPolicy cleaner) : PageDiffFtl(cleaner, Params()) {}
@@ -128,11 +93,6 @@ PageDiffFtl::PageDiffFtl(CleaningPolicy cleaner, const Params& params)
     : cleaner_(cleaner), params_(params) {
   MOBISIM_CHECK(params.max_diffs > 0);
   MOBISIM_CHECK(params.diff_divisor > 0);
-}
-
-double PageDiffFtl::ScoreVictim(const VictimCandidate& candidate,
-                                const VictimView& view) const {
-  return LogCleanerScore(cleaner_, candidate, view);
 }
 
 void PageDiffFtl::AttachMetaWindow(std::uint64_t base, std::uint64_t available,
@@ -203,15 +163,6 @@ FatRemapFtl::FatRemapFtl() : FatRemapFtl(Params()) {}
 
 FatRemapFtl::FatRemapFtl(const Params& params) : params_(params) {
   MOBISIM_CHECK(params.table_entries > 0);
-}
-
-double FatRemapFtl::ScoreVictim(const VictimCandidate& candidate,
-                                const VictimView& view) const {
-  (void)view;
-  // FIFO fold order: the oldest sealed segment (smallest fill stamp) scores
-  // highest.  Stamps start at 1 and are unique, so 1/stamp is a strict,
-  // positive ordering the `score > best` scan resolves deterministically.
-  return 1.0 / static_cast<double>(candidate.sequence);
 }
 
 void FatRemapFtl::AttachMetaWindow(std::uint64_t base, std::uint64_t available,

@@ -4,7 +4,7 @@
 // delegates to its translation/cleaning scheme:
 //
 //   * victim selection  -- which sealed segment the cleaner erases next
-//                          (ScoreVictim, consulted by SegmentManager);
+//                          (victim_scorer, read once by SegmentManager);
 //   * block placement   -- what physically gets appended to the log when the
 //                          host overwrites a block (PlanHostWrite);
 //   * read cost         -- extra device-internal bytes needed to assemble a
@@ -15,10 +15,10 @@
 //
 // Ownership and threading contract: a policy instance is owned by exactly one
 // device (LogFlashDevice owns its policy via MakeFtlPolicy; a bare
-// SegmentManager without an injected policy owns a private log-structured
-// one).  Instances are stateful and NOT thread-safe; parallel sweeps are safe
-// because every simulation point builds its own device and therefore its own
-// policy.
+// SegmentManager without an injected policy needs none: it scores with its
+// cleaning_policy's scorer).  Instances are stateful and NOT thread-safe;
+// parallel sweeps are safe because every simulation point builds its own
+// device and therefore its own policy.
 //
 // Cost-hook contract: PlanHostWrite/ExtraReadBytes describe *what* the device
 // should charge (log appends, programmed bytes, internal merge reads); the
@@ -83,23 +83,6 @@ struct FtlCounters {
   std::uint64_t remap_table_wraps = 0; // table wraparounds (map-page flushes)
 };
 
-// One cleaning candidate as seen by ScoreVictim.
-struct VictimCandidate {
-  std::uint32_t index = 0;
-  std::uint32_t live = 0;         // still-mapped blocks
-  std::uint32_t erase_count = 0;
-  std::uint64_t sequence = 0;     // fill-completion stamp (1 = oldest)
-};
-
-// Scan-invariant context for ScoreVictim.
-struct VictimView {
-  std::uint32_t blocks_per_segment = 0;
-  std::uint64_t fill_sequence = 0;   // newest stamp issued so far
-  // Highest erase count across all segments; populated only when the policy
-  // reports NeedsMaxEraseCount().
-  std::uint32_t max_erase_count = 0;
-};
-
 // What servicing a one-block host write physically does to the card.
 struct HostWritePlan {
   // Log appends to perform, in order (the block itself, and possibly a
@@ -121,12 +104,9 @@ class FtlPolicy {
   virtual const char* name() const = 0;
 
   // -- Victim selection (SegmentManager::PickVictim) -----------------------
-  // Higher score wins; the first candidate (lowest index) wins ties.  Called
-  // only for sealed segments with at least one invalid slot.
-  virtual double ScoreVictim(const VictimCandidate& candidate,
-                             const VictimView& view) const = 0;
-  // Whether the victim scan must pre-compute VictimView::max_erase_count.
-  virtual bool NeedsMaxEraseCount() const { return false; }
+  // The scorer the cleaner ranks sealed segments with (VictimScore in
+  // segment_manager.h).  Read once, when the manager is built.
+  virtual VictimScorer victim_scorer() const = 0;
 
   // -- Placement and cost hooks (LogFlashDevice) ---------------------------
   // Claims the never-accessed logical window [base, base + available) for
@@ -162,19 +142,14 @@ class FtlPolicy {
 };
 
 // The paper's scheme, extracted: out-of-place log writes plus the classic
-// victim scorers.  ScoreVictim reproduces the pre-FtlPolicy switch
-// byte-for-byte (same expressions, same evaluation order).
+// victim scorers (greedy, cost-benefit, wear-aware).
 class LogStructuredFtl : public FtlPolicy {
  public:
   explicit LogStructuredFtl(CleaningPolicy cleaner) : cleaner_(cleaner) {}
 
   FtlPolicyKind kind() const override { return FtlPolicyKind::kLogStructured; }
   const char* name() const override { return CleaningPolicyName(cleaner_); }
-  double ScoreVictim(const VictimCandidate& candidate,
-                     const VictimView& view) const override;
-  bool NeedsMaxEraseCount() const override {
-    return cleaner_ == CleaningPolicy::kWearAware;
-  }
+  VictimScorer victim_scorer() const override { return VictimScorerFor(cleaner_); }
   CleaningPolicy cleaner() const { return cleaner_; }
 
  private:
@@ -204,11 +179,7 @@ class PageDiffFtl : public FtlPolicy {
 
   FtlPolicyKind kind() const override { return FtlPolicyKind::kPageDiff; }
   const char* name() const override { return "page-diff"; }
-  double ScoreVictim(const VictimCandidate& candidate,
-                     const VictimView& view) const override;
-  bool NeedsMaxEraseCount() const override {
-    return cleaner_ == CleaningPolicy::kWearAware;
-  }
+  VictimScorer victim_scorer() const override { return VictimScorerFor(cleaner_); }
   void AttachMetaWindow(std::uint64_t base, std::uint64_t available,
                         std::uint32_t block_bytes) override;
   HostWritePlan PlanHostWrite(std::uint64_t lba, bool mapped,
@@ -249,8 +220,7 @@ class FatRemapFtl : public FtlPolicy {
 
   FtlPolicyKind kind() const override { return FtlPolicyKind::kFatRemap; }
   const char* name() const override { return "fat-remap"; }
-  double ScoreVictim(const VictimCandidate& candidate,
-                     const VictimView& view) const override;
+  VictimScorer victim_scorer() const override { return VictimScorer::kFifo; }
   void AttachMetaWindow(std::uint64_t base, std::uint64_t available,
                         std::uint32_t block_bytes) override;
   HostWritePlan PlanHostWrite(std::uint64_t lba, bool mapped,

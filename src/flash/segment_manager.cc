@@ -1,6 +1,7 @@
 #include "src/flash/segment_manager.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/flash/ftl_policy.h"
 #include "src/util/check.h"
@@ -25,18 +26,19 @@ SegmentManager::SegmentManager(const SegmentManagerConfig& config) : config_(con
           ? config.logical_blocks
           : static_cast<std::uint64_t>(segment_count) * blocks_per_segment_;
   MOBISIM_CHECK(logical >= static_cast<std::uint64_t>(segment_count) * blocks_per_segment_);
+  // The slot map stores lbas in 32 bits.
+  MOBISIM_CHECK(logical <= std::uint64_t{1} << 32);
   block_segment_.assign(logical, kNoSegment);
+  slots_.assign(total_blocks(), 0);
+  erased_bits_.assign((segment_count + 63) / 64, 0);
+  for (std::uint32_t i = 0; i < segment_count; ++i) {
+    SetErased(i);
+  }
   free_slots_ = total_blocks();
   erased_segments_ = segment_count;
-  if (config.policy != nullptr) {
-    policy_ = config.policy;
-  } else {
-    owned_policy_ = std::make_unique<LogStructuredFtl>(config.cleaning_policy);
-    policy_ = owned_policy_.get();
-  }
+  scorer_ = config.policy != nullptr ? config.policy->victim_scorer()
+                                     : VictimScorerFor(config.cleaning_policy);
 }
-
-SegmentManager::~SegmentManager() = default;
 
 std::uint64_t SegmentManager::total_blocks() const {
   return static_cast<std::uint64_t>(segments_.size()) * blocks_per_segment_;
@@ -74,44 +76,43 @@ std::uint32_t SegmentManager::segment_erase_count(std::uint32_t segment) const {
 }
 
 void SegmentManager::OpenNewActiveSegment(std::uint32_t& slot) {
-  for (std::uint32_t i = 0; i < segments_.size(); ++i) {
-    if (segments_[i].slots_used == 0 && !segments_[i].bad && i != active_segment_ &&
-        i != cleaning_segment_) {
-      slot = i;
+  for (std::size_t w = 0; w < erased_bits_.size(); ++w) {
+    if (erased_bits_[w] != 0) {
+      const auto i = static_cast<std::uint32_t>(w * 64 + std::countr_zero(erased_bits_[w]));
+      ClearErased(i);
       MOBISIM_CHECK(erased_segments_ > 0);
       --erased_segments_;
-      // The segment will fill completely before it closes; one allocation
-      // up front instead of push_back growth (CleanSegment moves the vector
-      // away, so capacity does not survive an erase cycle).
-      segments_[i].residents.reserve(blocks_per_segment_);
+      slot = i;
       return;
     }
   }
   MOBISIM_CHECK(false && "no erased segment available for the active role");
 }
 
-void SegmentManager::AppendBlock(std::uint64_t lba, bool cleaning) {
-  MOBISIM_CHECK(free_slots_ > 0);
-  ++mutation_epoch_;
-  std::uint32_t& role = (cleaning && config_.separate_cleaning_segment) ? cleaning_segment_
-                                                                        : active_segment_;
-  if (role == kNoSegment || segments_[role].slots_used == blocks_per_segment_) {
+void SegmentManager::PlaceBlock(std::uint32_t& role, std::uint32_t lba) {
+  if (role == kNoSegment) {
     OpenNewActiveSegment(role);
   }
   const std::uint32_t target = role;
   Segment& seg = segments_[target];
+  slots_[static_cast<std::size_t>(target) * blocks_per_segment_ + seg.slots_used] = lba;
   ++seg.slots_used;
   ++seg.live;
-  seg.residents.push_back(lba);
+  block_segment_[lba] = target;
   if (seg.slots_used == blocks_per_segment_) {
     // Seal the segment: a full segment is no longer "active" and becomes a
     // cleaning candidate like any other.
     seg.sequence = ++fill_sequence_;
     role = kNoSegment;
   }
+}
+
+void SegmentManager::AppendBlock(std::uint64_t lba) {
+  MOBISIM_CHECK(free_slots_ > 0);
+  ++mutation_epoch_;
+  PlaceBlock(active_segment_, static_cast<std::uint32_t>(lba));
   --free_slots_;
   ++live_blocks_;
-  block_segment_[lba] = target;
 }
 
 void SegmentManager::InvalidateBlock(std::uint64_t lba) {
@@ -156,37 +157,52 @@ std::uint32_t SegmentManager::BlockSegment(std::uint64_t lba) const {
   return block_segment_[lba];
 }
 
-std::uint32_t SegmentManager::PickVictim() const {
-  if (victim_epoch_ == mutation_epoch_) {
-    return victim_cache_;
-  }
+template <VictimScorer kScorer>
+std::uint32_t SegmentManager::ScanVictims() const {
   VictimView view;
   view.blocks_per_segment = blocks_per_segment_;
   view.fill_sequence = fill_sequence_;
-  if (policy_->NeedsMaxEraseCount()) {
-    for (const Segment& seg : segments_) {
-      view.max_erase_count = std::max(view.max_erase_count, seg.erase_count);
-    }
-  }
-
+  view.max_erase_count = max_erase_count_;
   std::uint32_t best = kNoSegment;
   double best_score = -1.0;
-  for (std::uint32_t i = 0; i < segments_.size(); ++i) {
+  const auto count = static_cast<std::uint32_t>(segments_.size());
+  for (std::uint32_t i = 0; i < count; ++i) {
     const Segment& seg = segments_[i];
     if (i == active_segment_ || seg.slots_used != blocks_per_segment_ ||
         seg.live == blocks_per_segment_) {
       continue;  // only full segments with at least one invalid slot qualify
     }
     VictimCandidate candidate;
-    candidate.index = i;
     candidate.live = seg.live;
     candidate.erase_count = seg.erase_count;
     candidate.sequence = seg.sequence;
-    const double score = policy_->ScoreVictim(candidate, view);
+    const double score = VictimScore<kScorer>(candidate, view);
     if (score > best_score) {
       best_score = score;
       best = i;
     }
+  }
+  return best;
+}
+
+std::uint32_t SegmentManager::PickVictim() const {
+  if (victim_epoch_ == mutation_epoch_) {
+    return victim_cache_;
+  }
+  std::uint32_t best = kNoSegment;
+  switch (scorer_) {
+    case VictimScorer::kGreedy:
+      best = ScanVictims<VictimScorer::kGreedy>();
+      break;
+    case VictimScorer::kCostBenefit:
+      best = ScanVictims<VictimScorer::kCostBenefit>();
+      break;
+    case VictimScorer::kWearAware:
+      best = ScanVictims<VictimScorer::kWearAware>();
+      break;
+    case VictimScorer::kFifo:
+      best = ScanVictims<VictimScorer::kFifo>();
+      break;
   }
   victim_epoch_ = mutation_epoch_;
   victim_cache_ = best;
@@ -204,29 +220,36 @@ std::uint32_t SegmentManager::CleanSegment(std::uint32_t segment) {
   MOBISIM_CHECK(segment != cleaning_segment_);
   Segment& victim = segments_[segment];
   MOBISIM_CHECK(victim.slots_used == blocks_per_segment_);
-  MOBISIM_CHECK(free_slots_ >= victim.live);
+  const std::uint32_t live = victim.live;
+  MOBISIM_CHECK(free_slots_ >= live);
+  ++mutation_epoch_;
 
-  // Copy the still-live residents into the active segment.  Resident entries
-  // may be stale (the block was overwritten elsewhere since being appended
-  // here); the mapping is the source of truth.
+  // Copy the still-live blocks into the cleaning role in slot order.  Slot
+  // entries may be stale (the block was overwritten elsewhere since being
+  // appended here) or repeat an lba already copied; the mapping is the
+  // source of truth, so each live block moves once, at its first entry.
+  std::uint32_t& role =
+      config_.separate_cleaning_segment ? cleaning_segment_ : active_segment_;
+  const std::uint32_t* entry =
+      slots_.data() + static_cast<std::size_t>(segment) * blocks_per_segment_;
+  const std::uint32_t* const end = entry + blocks_per_segment_;
   std::uint32_t copied = 0;
-  std::vector<std::uint64_t> residents = std::move(victim.residents);
-  victim.residents.clear();
-  for (const std::uint64_t lba : residents) {
-    if (block_segment_[lba] != segment) {
-      continue;
+  for (; copied < live && entry != end; ++entry) {
+    const std::uint32_t lba = *entry;
+    if (block_segment_[lba] == segment) {
+      PlaceBlock(role, lba);
+      ++copied;
     }
-    InvalidateBlock(lba);
-    AppendBlock(lba, /*cleaning=*/true);
-    ++copied;
   }
-  MOBISIM_CHECK(victim.live == 0);
+  MOBISIM_CHECK(copied == live);
+  free_slots_ -= copied;
+  victim.live = 0;
 
   victim.slots_used = 0;
   victim.sequence = 0;
   ++victim.erase_count;
+  max_erase_count_ = std::max(max_erase_count_, victim.erase_count);
   ++total_erases_;
-  ++mutation_epoch_;
   const std::uint32_t limit =
       victim.endurance_limit > 0 ? victim.endurance_limit : config_.endurance_limit;
   if (limit > 0 && victim.erase_count >= limit) {
@@ -234,6 +257,7 @@ std::uint32_t SegmentManager::CleanSegment(std::uint32_t segment) {
     victim.bad = true;
     ++bad_segments_;
   } else {
+    SetErased(segment);
     ++erased_segments_;
     free_slots_ += blocks_per_segment_;
   }
@@ -255,6 +279,7 @@ void SegmentManager::RetireSegment(std::uint32_t segment) {
   MOBISIM_CHECK(free_slots_ >= blocks_per_segment_);
   ++mutation_epoch_;
   seg.bad = true;
+  ClearErased(segment);
   --erased_segments_;
   free_slots_ -= blocks_per_segment_;
   ++bad_segments_;
@@ -290,8 +315,27 @@ bool SegmentManager::CheckInvariants() const {
   if (mapped != live_blocks_) {
     return false;
   }
+  // Every mapped block sits in a used slot of the segment the mapping names.
+  std::vector<bool> placed(block_segment_.size(), false);
+  for (std::uint32_t i = 0; i < segments_.size(); ++i) {
+    const std::size_t first = static_cast<std::size_t>(i) * blocks_per_segment_;
+    for (std::size_t k = first; k < first + segments_[i].slots_used; ++k) {
+      if (slots_[k] >= block_segment_.size()) {
+        return false;
+      }
+      if (block_segment_[slots_[k]] == i) {
+        placed[slots_[k]] = true;
+      }
+    }
+  }
+  for (std::size_t lba = 0; lba < block_segment_.size(); ++lba) {
+    if (block_segment_[lba] != kNoSegment && !placed[lba]) {
+      return false;
+    }
+  }
   std::uint64_t used = 0;
   std::uint32_t erased = 0;
+  std::uint32_t max_erases = 0;
   for (std::uint32_t i = 0; i < segments_.size(); ++i) {
     const Segment& seg = segments_[i];
     if (seg.live != live_per_segment[i]) {
@@ -301,11 +345,20 @@ bool SegmentManager::CheckInvariants() const {
       return false;
     }
     used += seg.slots_used;
-    if (seg.slots_used == 0 && !seg.bad && i != active_segment_ && i != cleaning_segment_) {
-      ++erased;
+    max_erases = std::max(max_erases, seg.erase_count);
+    const bool is_erased =
+        seg.slots_used == 0 && !seg.bad && i != active_segment_ && i != cleaning_segment_;
+    if (IsErased(i) != is_erased) {
+      return false;
+    }
+    erased += is_erased ? 1 : 0;
+  }
+  for (std::size_t bit = segments_.size(); bit < erased_bits_.size() * 64; ++bit) {
+    if ((erased_bits_[bit / 64] >> (bit % 64) & 1u) != 0) {
+      return false;  // no bits past the last segment
     }
   }
-  if (erased != erased_segments_) {
+  if (erased != erased_segments_ || max_erases != max_erase_count_) {
     return false;
   }
   const std::uint64_t bad_capacity =

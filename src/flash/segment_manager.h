@@ -12,8 +12,8 @@
 #ifndef MOBISIM_SRC_FLASH_SEGMENT_MANAGER_H_
 #define MOBISIM_SRC_FLASH_SEGMENT_MANAGER_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/util/stats.h"
@@ -36,6 +36,72 @@ enum class CleaningPolicy : std::uint8_t {
 
 const char* CleaningPolicyName(CleaningPolicy policy);
 
+// How SegmentManager::PickVictim ranks cleaning candidates.  The three
+// cleaners map one-to-one; kFifo reclaims segments strictly in fill order
+// (the FAT remapper's fold-and-erase).  An FtlPolicy names its scorer once
+// through victim_scorer(), and the manager fixes it at construction.
+enum class VictimScorer : std::uint8_t {
+  kGreedy = 0,
+  kCostBenefit = 1,
+  kWearAware = 2,
+  kFifo = 3,
+};
+
+constexpr VictimScorer VictimScorerFor(CleaningPolicy cleaner) {
+  switch (cleaner) {
+    case CleaningPolicy::kGreedy:
+      return VictimScorer::kGreedy;
+    case CleaningPolicy::kCostBenefit:
+      return VictimScorer::kCostBenefit;
+    case CleaningPolicy::kWearAware:
+      return VictimScorer::kWearAware;
+  }
+  return VictimScorer::kGreedy;
+}
+
+// One cleaning candidate: a sealed segment with at least one invalid slot.
+struct VictimCandidate {
+  std::uint32_t live = 0;         // still-mapped blocks
+  std::uint32_t erase_count = 0;
+  std::uint64_t sequence = 0;     // fill-completion stamp (1 = oldest)
+};
+
+// Scan-invariant context for VictimScore.
+struct VictimView {
+  std::uint32_t blocks_per_segment = 0;
+  std::uint64_t fill_sequence = 0;   // newest stamp issued so far
+  std::uint32_t max_erase_count = 0; // highest erase count of any segment
+};
+
+// The one victim scorer.  Higher wins; the scan keeps the first (lowest
+// index) candidate on ties.  These are the pre-FtlPolicy expressions with
+// the same casts and evaluation order, so victims, and every output that
+// depends on them, stay byte-identical.
+template <VictimScorer kScorer>
+inline double VictimScore(const VictimCandidate& seg, const VictimView& view) {
+  if constexpr (kScorer == VictimScorer::kGreedy) {
+    return static_cast<double>(view.blocks_per_segment - seg.live);
+  } else if constexpr (kScorer == VictimScorer::kCostBenefit) {
+    const double u =
+        static_cast<double>(seg.live) / static_cast<double>(view.blocks_per_segment);
+    const double age = static_cast<double>(view.fill_sequence - seg.sequence) + 1.0;
+    return (1.0 - u) * age / (1.0 + u);
+  } else if constexpr (kScorer == VictimScorer::kWearAware) {
+    // Greedy, plus a bonus for under-erased segments so cold data gets
+    // rotated off low-wear areas.
+    const double invalid = static_cast<double>(view.blocks_per_segment - seg.live);
+    const double deficit =
+        static_cast<double>(view.max_erase_count - seg.erase_count) /
+        static_cast<double>(std::max<std::uint32_t>(view.max_erase_count, 1));
+    return invalid + 0.3 * deficit * static_cast<double>(view.blocks_per_segment);
+  } else {
+    // FIFO: the oldest sealed segment (smallest fill stamp) scores highest.
+    // Stamps start at 1 and are unique, so 1/stamp is a strict, positive
+    // ordering.
+    return 1.0 / static_cast<double>(seg.sequence);
+  }
+}
+
 struct SegmentManagerConfig {
   std::uint64_t capacity_bytes = 40ull * 1024 * 1024;
   std::uint32_t segment_bytes = 128 * 1024;
@@ -56,12 +122,11 @@ struct SegmentManagerConfig {
   std::uint32_t endurance_limit = 0;
   // Victim-selection policy, fixed at construction so the PickVictim epoch
   // cache can never be invalidated by a caller switching policies mid-run.
-  // Used when `policy` is null (the manager then owns a private
-  // LogStructuredFtl for this cleaner).
+  // Used when `policy` is null.
   CleaningPolicy cleaning_policy = CleaningPolicy::kGreedy;
-  // Externally owned FtlPolicy to score victims with; must outlive the
-  // manager.  LogFlashDevice injects its own policy here so victim selection
-  // and placement hooks come from one object.
+  // FtlPolicy whose victim_scorer() the manager ranks victims with; read
+  // once, at construction.  LogFlashDevice injects its own policy here so
+  // victim selection and placement hooks come from one object.
   const FtlPolicy* policy = nullptr;
 };
 
@@ -70,8 +135,6 @@ class SegmentManager {
   static constexpr std::uint32_t kNoSegment = ~std::uint32_t{0};
 
   explicit SegmentManager(const SegmentManagerConfig& config);
-  // Out of line: the owned policy's deleter needs the complete FtlPolicy.
-  ~SegmentManager();
 
   // Marks `count` logical blocks starting at `lba` live, placing them in
   // append order (used to preload the card to a target utilization).
@@ -92,8 +155,9 @@ class SegmentManager {
   std::uint32_t BlockSegment(std::uint64_t lba) const;
 
   // Chooses a cleaning victim among full segments that contain at least one
-  // invalid slot; kNoSegment if none qualifies.  Scoring delegates to the
-  // policy fixed at construction time.
+  // invalid slot; kNoSegment if none qualifies.  One pass over the segments
+  // with the scorer fixed at construction inlined (no per-segment call);
+  // the answer is cached until the next mutation.
   std::uint32_t PickVictim() const;
 
   // Number of live blocks cleaning this victim would copy.
@@ -101,7 +165,8 @@ class SegmentManager {
 
   // Copies the victim's live blocks to the active segment (consuming free
   // slots) and erases the victim.  Requires free_slots() >= live count.
-  // Returns the number of blocks copied.
+  // Returns the number of blocks copied.  Costs O(slots walked): the walk
+  // stops once the victim's last live block is copied.
   std::uint32_t CleanSegment(std::uint32_t segment);
 
   // Per-segment endurance override used by fault injection to sample a wear
@@ -143,7 +208,8 @@ class SegmentManager {
 
   // Internal-consistency check used by tests and MOBISIM_DCHECK call sites:
   // live + free + invalid slots == total slots, per-segment counts match the
-  // mapping, etc.
+  // mapping, every mapped block sits in a used slot of its segment, and the
+  // erased bitmap matches the segments' state.
   bool CheckInvariants() const;
 
  private:
@@ -153,27 +219,50 @@ class SegmentManager {
     std::uint32_t erase_count = 0;
     // Sampled wear budget for this segment; 0 uses config.endurance_limit.
     std::uint32_t endurance_limit = 0;
-    bool bad = false;               // retired by the endurance limit
     std::uint64_t sequence = 0;     // fill-completion order, for cost-benefit age
-    // Logical blocks appended since last erase; entries may be stale
-    // (superseded), validated against the mapping during cleaning.
-    std::vector<std::uint64_t> residents;
+    bool bad = false;               // retired by the endurance limit
   };
 
-  // Opens an erased segment into `slot` (the host or cleaning active role).
+  // Opens the lowest-index erased segment into `slot` (the host or cleaning
+  // active role).
   void OpenNewActiveSegment(std::uint32_t& slot);
-  void AppendBlock(std::uint64_t lba, bool cleaning = false);
+  // Writes `lba` into the next slot of the segment in `role` (opening one if
+  // the role is empty, sealing it once full) and maps it there.  Counters
+  // outside the segment are the caller's.
+  void PlaceBlock(std::uint32_t& role, std::uint32_t lba);
+  void AppendBlock(std::uint64_t lba);
   void InvalidateBlock(std::uint64_t lba);
+  template <VictimScorer kScorer>
+  std::uint32_t ScanVictims() const;
+  bool IsErased(std::uint32_t segment) const {
+    return (erased_bits_[segment / 64] >> (segment % 64) & 1u) != 0;
+  }
+  void SetErased(std::uint32_t segment) {
+    erased_bits_[segment / 64] |= std::uint64_t{1} << (segment % 64);
+  }
+  void ClearErased(std::uint32_t segment) {
+    erased_bits_[segment / 64] &= ~(std::uint64_t{1} << (segment % 64));
+  }
 
   SegmentManagerConfig config_;
-  // Private log-structured policy backing config_.cleaning_policy when no
-  // external policy was injected.
-  std::unique_ptr<const FtlPolicy> owned_policy_;
-  const FtlPolicy* policy_ = nullptr;
+  VictimScorer scorer_;
   std::uint32_t blocks_per_segment_;
   std::vector<Segment> segments_;
   // lba -> segment index, or kNoSegment.
   std::vector<std::uint32_t> block_segment_;
+  // The slot map: slots_[segment * blocks_per_segment_ + i] is the lba
+  // appended into slot i of the segment since its last erase (valid for
+  // i < slots_used).  Entries may be stale (the block was overwritten or
+  // trimmed since); block_segment_ is the source of truth, and cleaning
+  // copies an entry only while the mapping still names this segment.  Four
+  // bytes a slot: the constructor checks the logical space fits 32 bits.
+  std::vector<std::uint32_t> slots_;
+  // Bit s is set iff segment s is erased: no slot used, not bad, and not
+  // an active role.  OpenNewActiveSegment takes the lowest set bit.
+  std::vector<std::uint64_t> erased_bits_;
+  // Highest erase count of any segment; erase counts only grow, so
+  // CleanSegment keeps it current (the wear-aware scorer reads it).
+  std::uint32_t max_erase_count_ = 0;
   std::uint32_t active_segment_ = kNoSegment;
   // Destination of cleaning copies when separate_cleaning_segment is set.
   std::uint32_t cleaning_segment_ = kNoSegment;
@@ -189,7 +278,7 @@ class SegmentManager {
   // to the scoring (live counts, fill order, erase counts, the active
   // segment) changes only through the mutating methods, which bump
   // mutation_epoch_; the last answer is cached and reused until then.  The
-  // policy is fixed at construction, so the epoch alone keys the cache.
+  // scorer is fixed at construction, so the epoch alone keys the cache.
   std::uint64_t mutation_epoch_ = 0;
   mutable std::uint64_t victim_epoch_ = ~std::uint64_t{0};
   mutable std::uint32_t victim_cache_ = kNoSegment;

@@ -73,6 +73,10 @@ bool ToBlocks(std::uint64_t start, std::uint64_t length, std::uint64_t units_per
   return true;
 }
 
+// Block maps index blocks in 32 bits (SegmentManager's slot map, for one),
+// so a trace may address at most 2^32 blocks.
+constexpr std::uint64_t kMaxTraceBlocks = std::uint64_t{1} << 32;
+
 // One request as a line of either format states it.
 struct Request {
   double time = 0.0;  // in the format's time unit
@@ -108,6 +112,9 @@ TraceView ImportLines(std::istream& in, const char* format, int device_filter,
         bad = "timestamp out of range";
       } else if (!ToBlocks(req.start, req.length, units_per_block, block_bytes, &rec)) {
         bad = "request too large to represent";
+      } else if (rec.lba + rec.block_count > kMaxTraceBlocks) {
+        // The device sizes its block maps from the trace's address space.
+        bad = "address past the 2^32-block address space";
       } else {
         rows.push_back(rec);
       }

@@ -18,8 +18,10 @@
 // simulated without a DRAM cache).  Requests for devices other than
 // `device_filter` are dropped when the filter is >= 0.  A request the
 // simulator cannot represent is an error, not a silent truncation: one that
-// spans more than 2^32-1 blocks, one whose end lies past 2^64 bytes, and a
-// timestamp outside +-2^63 microseconds.  On any error the importers return
+// spans more than 2^32-1 blocks, one whose end lies past 2^64 bytes, one
+// that ends past block 2^32 (the device's block maps are 32-bit, and it is
+// sized for the trace's whole address space), and a timestamp outside
+// +-2^63 microseconds.  On any error the importers return
 // an empty (null) view and describe the line in `error`.
 #ifndef MOBISIM_SRC_TRACE_EXTERNAL_FORMATS_H_
 #define MOBISIM_SRC_TRACE_EXTERNAL_FORMATS_H_

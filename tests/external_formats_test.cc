@@ -107,6 +107,35 @@ TEST(HplImportTest, RejectsRequestEndingPastTheAddressSpace) {
   EXPECT_FALSE(ImportHplTrace(blocks, options, &error));
 }
 
+TEST(HplImportTest, RejectsSparseAddressPastTheBlockMaps) {
+  // One request at byte 2^50 beside one at 0 would size the device for
+  // 2^40 + 4 blocks; the import refuses it instead of letting the block
+  // maps try to allocate that space.
+  std::istringstream sparse("0.0 0 1125899906842624 4096 W\n0.1 0 0 4096 W\n");
+  std::string error;
+  EXPECT_FALSE(ImportHplTrace(sparse, HplImportOptions{}, &error));
+  EXPECT_NE(error.find("line 1: address past the 2^32-block address space"),
+            std::string::npos)
+      << error;
+
+  // The line number names the offending request wherever it sits.
+  std::istringstream second("0.0 0 0 4096 W\n0.1 0 1125899906842624 4096 W\n");
+  EXPECT_FALSE(ImportHplTrace(second, HplImportOptions{}, &error));
+  EXPECT_NE(error.find("line 2: address past"), std::string::npos) << error;
+
+  // Block offsets: a request ending exactly at block 2^32 still imports,
+  // one block further does not.
+  HplImportOptions blocks;
+  blocks.offsets_in_bytes = false;
+  std::istringstream last("0.0 0 4294967295 1 W\n");
+  const TraceView trace = ImportHplTrace(last, blocks, &error);
+  ASSERT_TRUE(trace) << error;
+  EXPECT_EQ(trace.total_blocks(), std::uint64_t{1} << 32);
+  std::istringstream past("0.0 0 4294967295 2 W\n");
+  EXPECT_FALSE(ImportHplTrace(past, blocks, &error));
+  EXPECT_NE(error.find("line 1: address past"), std::string::npos) << error;
+}
+
 TEST(HplImportTest, RejectsTimestampOutOfRange) {
   std::string error;
   std::istringstream huge("0.0 0 0 1024 R\n1e300 0 0 1024 R\n");
@@ -143,6 +172,22 @@ TEST(DiskSimImportTest, RejectsRequestSpanningMoreThanUint32Blocks) {
 
   std::istringstream wraps("0.0 0 18446744073709551000 1024 1\n");
   EXPECT_FALSE(ImportDiskSimTrace(wraps, DiskSimImportOptions{}, &error));
+}
+
+TEST(DiskSimImportTest, RejectsSparseAddressPastTheBlockMaps) {
+  // The DiskSim twin of the HPL case: sector 2^51 is 1-KB block 2^50.
+  std::istringstream sparse("0.0 0 2251799813685248 8 0\n100.0 0 0 8 0\n");
+  std::string error;
+  EXPECT_FALSE(ImportDiskSimTrace(sparse, DiskSimImportOptions{}, &error));
+  EXPECT_NE(error.find("line 1: address past the 2^32-block address space"),
+            std::string::npos)
+      << error;
+
+  // The last 1-KB block below 2^32 (sectors 2^33 - 2 and 2^33 - 1) imports.
+  std::istringstream last("0.0 0 8589934590 2 0\n");
+  const TraceView trace = ImportDiskSimTrace(last, DiskSimImportOptions{}, &error);
+  ASSERT_TRUE(trace) << error;
+  EXPECT_EQ(trace.total_blocks(), std::uint64_t{1} << 32);
 }
 
 TEST(DiskSimImportTest, RejectsTimestampOutOfRange) {

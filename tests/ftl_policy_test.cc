@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -272,7 +273,7 @@ TEST(FatRemapFtlTest, TableWraparoundFlushesMapPages) {
 }
 
 TEST(FatRemapFtlTest, VictimOrderIsStrictFifo) {
-  const FatRemapFtl ftl;
+  EXPECT_EQ(FatRemapFtl().victim_scorer(), VictimScorer::kFifo);
   VictimView view;
   view.blocks_per_segment = 16;
   view.fill_sequence = 10;
@@ -282,9 +283,52 @@ TEST(FatRemapFtlTest, VictimOrderIsStrictFifo) {
   VictimCandidate young_seg;
   young_seg.sequence = 9;
   young_seg.live = 1;  // ...but FIFO ignores liveness entirely
-  EXPECT_GT(ftl.ScoreVictim(old_seg, view), ftl.ScoreVictim(young_seg, view));
+  EXPECT_GT(VictimScore<VictimScorer::kFifo>(old_seg, view),
+            VictimScore<VictimScorer::kFifo>(young_seg, view));
   // Scores stay positive so the `score > -1` victim scan always engages.
-  EXPECT_GT(ftl.ScoreVictim(young_seg, view), 0.0);
+  EXPECT_GT(VictimScore<VictimScorer::kFifo>(young_seg, view), 0.0);
+}
+
+TEST(VictimScoreTest, CostBenefitWeighsFreeSpaceByAge) {
+  VictimView view;
+  view.blocks_per_segment = 16;
+  view.fill_sequence = 10;
+  VictimCandidate old_seg;
+  old_seg.sequence = 2;
+  old_seg.live = 8;
+  VictimCandidate young_seg = old_seg;
+  young_seg.sequence = 9;
+  constexpr auto kCb = VictimScorer::kCostBenefit;
+  // Equal utilization: the older segment wins.
+  EXPECT_GT(VictimScore<kCb>(old_seg, view), VictimScore<kCb>(young_seg, view));
+  // (1 - u) * age / (1 + u) with u = 8/16 and age = 10 - 2 + 1.
+  EXPECT_DOUBLE_EQ(VictimScore<kCb>(old_seg, view), 0.5 * 9.0 / 1.5);
+  // Equal age: the emptier segment wins.
+  VictimCandidate emptier = old_seg;
+  emptier.live = 2;
+  EXPECT_GT(VictimScore<kCb>(emptier, view), VictimScore<kCb>(old_seg, view));
+  // The youngest sealed segment still scores above the scan's -1 floor.
+  VictimCandidate newest = old_seg;
+  newest.sequence = view.fill_sequence;
+  newest.live = 15;
+  EXPECT_GT(VictimScore<kCb>(newest, view), 0.0);
+}
+
+TEST(VictimScoreTest, EachPolicyNamesItsScorer) {
+  const std::pair<CleaningPolicy, VictimScorer> cleaners[] = {
+      {CleaningPolicy::kGreedy, VictimScorer::kGreedy},
+      {CleaningPolicy::kCostBenefit, VictimScorer::kCostBenefit},
+      {CleaningPolicy::kWearAware, VictimScorer::kWearAware},
+  };
+  for (const auto& [cleaner, scorer] : cleaners) {
+    SCOPED_TRACE(CleaningPolicyName(cleaner));
+    EXPECT_EQ(MakeFtlPolicy(FtlPolicyKind::kLogStructured, cleaner)->victim_scorer(), scorer);
+    // page-diff follows its configured cleaner...
+    EXPECT_EQ(MakeFtlPolicy(FtlPolicyKind::kPageDiff, cleaner)->victim_scorer(), scorer);
+    // ...while fat-remap always folds in FIFO order.
+    EXPECT_EQ(MakeFtlPolicy(FtlPolicyKind::kFatRemap, cleaner)->victim_scorer(),
+              VictimScorer::kFifo);
+  }
 }
 
 // --- Name parsing and the sweep dimensions -------------------------------
