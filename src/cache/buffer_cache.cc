@@ -6,16 +6,6 @@
 
 namespace mobisim {
 
-BufferCache::BufferCache(const MemorySpec& spec, std::uint64_t capacity_bytes,
-                         std::uint32_t block_bytes)
-    : spec_(spec),
-      capacity_blocks_(capacity_bytes / block_bytes),
-      block_bytes_(block_bytes),
-      meter_({{"active", spec.active_w}, {"refresh", /*computed below*/ 0.0}}) {
-  MOBISIM_CHECK(block_bytes > 0);
-  refresh_w_ = spec.idle_w_per_mbyte * static_cast<double>(capacity_bytes) / (1024.0 * 1024.0);
-}
-
 void BufferCache::InvalidateRange(std::uint64_t lba, std::uint32_t count) {
   if (!enabled()) {
     return;
@@ -39,20 +29,14 @@ void BufferCache::MarkDirty(std::uint64_t lba, std::uint32_t count) {
   }
 }
 
-std::vector<BufferCache::DirtyRange> BufferCache::DrainDirty() {
+std::vector<BlockRange> BufferCache::DrainDirty() {
   std::vector<std::uint64_t> blocks;
   blocks.reserve(cache_.dirty_count());
   cache_.CollectDirty(&blocks);
   std::sort(blocks.begin(), blocks.end());
   cache_.ClearDirtyBits();
-  std::vector<DirtyRange> ranges;
-  for (const std::uint64_t block : blocks) {
-    if (!ranges.empty() && ranges.back().lba + ranges.back().count == block) {
-      ++ranges.back().count;
-    } else {
-      ranges.push_back(DirtyRange{block, 1});
-    }
-  }
+  std::vector<BlockRange> ranges;
+  CoalesceRuns(blocks, &ranges);
   return ranges;
 }
 

@@ -11,23 +11,20 @@
 #ifndef MOBISIM_SRC_CACHE_BUFFER_CACHE_H_
 #define MOBISIM_SRC_CACHE_BUFFER_CACHE_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "src/cache/memory_power.h"
 #include "src/device/device_spec.h"
 #include "src/util/block_hash.h"
-#include "src/util/energy_meter.h"
-#include "src/util/sim_time.h"
 
 namespace mobisim {
 
-class BufferCache {
+class BufferCache : public MemoryPower {
  public:
-  BufferCache(const MemorySpec& spec, std::uint64_t capacity_bytes, std::uint32_t block_bytes);
+  BufferCache(const MemorySpec& spec, std::uint64_t capacity_bytes, std::uint32_t block_bytes)
+      : MemoryPower(spec, spec.read_kbps, "refresh", capacity_bytes, block_bytes) {}
 
-  bool enabled() const { return capacity_blocks_ > 0; }
-  std::uint64_t capacity_blocks() const { return capacity_blocks_; }
   std::uint64_t cached_blocks() const { return cache_.size(); }
 
   // True if every block of [lba, lba+count) is cached; refreshes LRU
@@ -38,25 +35,20 @@ class BufferCache {
     if (!enabled()) {
       return false;
     }
-    for (std::uint32_t i = 0; i < count; ++i) {
-      if (!cache_.Contains(lba + i)) {
-        ++misses_;
-        return false;
-      }
-    }
-    for (std::uint32_t i = 0; i < count; ++i) {
-      cache_.TouchIfPresent(lba + i);
+    if (!cache_.TouchAllIfPresent(lba, count)) {
+      ++misses_;
+      return false;
     }
     ++hits_;
     return true;
   }
   // Inserts blocks (write-allocate), evicting least-recently-used blocks as
   // needed.  In write-through operation victims are always clean and
-  // eviction is free; in write-back operation evicted dirty blocks are
-  // appended to `evicted_dirty` (if non-null) and the caller must write them
-  // to the device.
+  // eviction is free; in write-back operation each evicted dirty block is
+  // appended to `evicted_dirty` (if non-null) as a one-block range, and the
+  // caller must write it to the device.
   void Insert(std::uint64_t lba, std::uint32_t count,
-              std::vector<std::uint64_t>* evicted_dirty = nullptr) {
+              std::vector<BlockRange>* evicted_dirty = nullptr) {
     if (!enabled()) {
       return;
     }
@@ -65,11 +57,11 @@ class BufferCache {
       if (cache_.TouchIfPresent(block)) {
         continue;
       }
-      if (cache_.size() >= capacity_blocks_) {
+      if (cache_.size() >= capacity_blocks()) {
         bool was_dirty = false;
         const std::uint64_t victim = cache_.EvictLru(&was_dirty);
         if (was_dirty && evicted_dirty != nullptr) {
-          evicted_dirty->push_back(victim);
+          evicted_dirty->push_back(BlockRange{victim, 1});
         }
       }
       cache_.InsertFront(block);
@@ -85,50 +77,17 @@ class BufferCache {
   // Marks cached blocks dirty; they must already be present (Insert first).
   void MarkDirty(std::uint64_t lba, std::uint32_t count);
   std::uint64_t dirty_blocks() const { return cache_.dirty_count(); }
-  // A maximal run of consecutive dirty blocks.
-  struct DirtyRange {
-    std::uint64_t lba = 0;
-    std::uint32_t count = 0;
-  };
   // Clears all dirty flags and returns the blocks coalesced into ranges
   // sorted by LBA (the periodic sync path).  Blocks stay cached.
-  std::vector<DirtyRange> DrainDirty();
+  std::vector<BlockRange> DrainDirty();
 
-  // Time to move `bytes` through the DRAM, and the paired active energy.
-  SimTime AccessTime(std::uint64_t bytes) const {
-    return static_cast<SimTime>(spec_.access_overhead_us) +
-           TransferTimeUs(bytes, spec_.read_kbps);
-  }
-  // Accounts active energy for a transfer of `bytes`.
-  void NoteTransfer(std::uint64_t bytes) { meter_.Accumulate(kModeActive, AccessTime(bytes)); }
-  // Accounts refresh energy up to `t`.
-  void AccountUntil(SimTime t) {
-    if (t <= accounted_until_ || !enabled()) {
-      accounted_until_ = std::max(accounted_until_, t);
-      return;
-    }
-    meter_.AccumulateJoules(kModeRefresh, refresh_w_ * SecFromUs(t - accounted_until_));
-    accounted_until_ = t;
-  }
-  void Finish(SimTime end) { AccountUntil(end); }
-
-  const EnergyMeter& energy() const { return meter_; }
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
 
  private:
-  enum Mode : std::size_t { kModeActive = 0, kModeRefresh };
-
-  MemorySpec spec_;
-  std::uint64_t capacity_blocks_;
-  std::uint32_t block_bytes_;
-  EnergyMeter meter_;
-  SimTime accounted_until_ = 0;
-  double refresh_w_ = 0.0;
-
-  // Index, recency order, and dirty bits in one flat structure (see
-  // block_hash.h); eviction order is exact LRU, identical to the previous
-  // list-based implementation.
+  // Index, recency order and dirty bits in one flat structure: a lookup is
+  // one probe of the shared BlockIndex (linear probing, no tombstones, load
+  // below 7/8), and eviction order is exact LRU.
   LruBlockMap cache_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

@@ -9,31 +9,27 @@
 //
 // While the disk spins, every absorbed write is drained at once (write-
 // behind), so Absorb and Drain sit on the per-record path and cost
-// O(blocks absorbed or drained): the dirty set keeps its members densely
-// (see FlatBlockSet), and Drain builds its ranges in member scratch vectors
+// O(blocks absorbed or drained): the dirty set is cleared member by member,
+// never slot by slot, and Drain builds its ranges in member scratch vectors
 // that are reused, so a steady-state drain allocates nothing.  The list
 // Drain returns is that scratch: it stays valid until the next Drain.
 #ifndef MOBISIM_SRC_CACHE_SRAM_WRITE_BUFFER_H_
 #define MOBISIM_SRC_CACHE_SRAM_WRITE_BUFFER_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "src/cache/memory_power.h"
 #include "src/device/device_spec.h"
 #include "src/util/block_hash.h"
-#include "src/util/energy_meter.h"
-#include "src/util/sim_time.h"
 
 namespace mobisim {
 
-class SramWriteBuffer {
+class SramWriteBuffer : public MemoryPower {
  public:
-  SramWriteBuffer(const MemorySpec& spec, std::uint64_t capacity_bytes,
-                  std::uint32_t block_bytes);
+  SramWriteBuffer(const MemorySpec& spec, std::uint64_t capacity_bytes, std::uint32_t block_bytes)
+      : MemoryPower(spec, spec.write_kbps, "retention", capacity_bytes, block_bytes) {}
 
-  bool enabled() const { return capacity_blocks_ > 0; }
-  std::uint64_t capacity_blocks() const { return capacity_blocks_; }
   std::uint64_t dirty_blocks() const { return dirty_.size(); }
 
   // True if every block of the range is buffered (read can be serviced
@@ -72,48 +68,18 @@ class SramWriteBuffer {
   // Removes blocks covered by a file deletion; they no longer need flushing.
   void Discard(std::uint64_t lba, std::uint32_t count);
 
-  // A maximal run of consecutive dirty blocks, flushed as one device write.
-  struct FlushRange {
-    std::uint64_t lba = 0;
-    std::uint32_t count = 0;
-  };
   // Empties the buffer, returning its contents coalesced into ranges sorted
   // by LBA.  The reference stays valid until the next Drain; an empty
   // buffer yields an empty list and counts no flush.
-  const std::vector<FlushRange>& Drain();
+  const std::vector<BlockRange>& Drain();
 
-  SimTime AccessTime(std::uint64_t bytes) const {
-    return static_cast<SimTime>(spec_.access_overhead_us) +
-           TransferTimeUs(bytes, spec_.write_kbps);
-  }
-  void NoteTransfer(std::uint64_t bytes) { meter_.Accumulate(kModeActive, AccessTime(bytes)); }
-  void AccountUntil(SimTime t) {
-    if (t <= accounted_until_ || !enabled()) {
-      accounted_until_ = std::max(accounted_until_, t);
-      return;
-    }
-    meter_.AccumulateJoules(kModeRetention, retention_w_ * SecFromUs(t - accounted_until_));
-    accounted_until_ = t;
-  }
-  void Finish(SimTime end) { AccountUntil(end); }
-
-  const EnergyMeter& energy() const { return meter_; }
   std::uint64_t absorbed_writes() const { return absorbed_; }
   std::uint64_t flushes() const { return flushes_; }
 
  private:
-  enum Mode : std::size_t { kModeActive = 0, kModeRetention };
-
-  MemorySpec spec_;
-  std::uint64_t capacity_blocks_;
-  std::uint32_t block_bytes_;
-  EnergyMeter meter_;
-  SimTime accounted_until_ = 0;
-  double retention_w_ = 0.0;
-
   FlatBlockSet dirty_;
   std::vector<std::uint64_t> drain_blocks_;  // Drain scratch: sorted members
-  std::vector<FlushRange> drain_ranges_;     // what Drain returns
+  std::vector<BlockRange> drain_ranges_;     // what Drain returns
   std::uint64_t absorbed_ = 0;
   std::uint64_t flushes_ = 0;
 };

@@ -6,6 +6,15 @@
 
 namespace mobisim {
 
+namespace {
+
+// Sentinel file ids of internal device writes.  SRAM flush ranges come from
+// arbitrary files, so they are charged a random access.
+constexpr std::uint32_t kSramFlushFile = ~std::uint32_t{0} - 1;
+constexpr std::uint32_t kCacheSyncFile = ~std::uint32_t{0} - 2;
+
+}  // namespace
+
 std::uint64_t RequiredCapacityBytes(std::uint64_t trace_bytes, double utilization,
                                     std::uint32_t segment_bytes) {
   MOBISIM_CHECK(utilization > 0.0 && utilization < 1.0);
@@ -115,19 +124,23 @@ SimTime StorageSystem::DeviceWrite(SimTime now, const BlockRecord& rec,
   return elapsed;
 }
 
-SimTime StorageSystem::DrainSramTo(SimTime now) {
+SimTime StorageSystem::WriteRanges(SimTime now, const std::vector<BlockRange>& ranges,
+                                   std::uint32_t file_id, WriteSource source) {
   SimTime completion = now;
-  for (const SramWriteBuffer::FlushRange& range : sram_.Drain()) {
+  for (const BlockRange& range : ranges) {
     BlockRecord rec;
     rec.time_us = now;
     rec.op = OpType::kWrite;
     rec.lba = range.lba;
     rec.block_count = range.count;
-    // Flushed ranges come from arbitrary files; charge a random access.
-    rec.file_id = ~std::uint32_t{0} - 1;
-    completion = now + DeviceWrite(now, rec, WriteSource::kSramFlush);
+    rec.file_id = file_id;
+    completion = now + DeviceWrite(now, rec, source);
   }
   return completion;
+}
+
+SimTime StorageSystem::DrainSramTo(SimTime now) {
+  return WriteRanges(now, sram_.Drain(), kSramFlushFile, WriteSource::kSramFlush);
 }
 
 SimTime StorageSystem::PowerLoss(SimTime now) {
@@ -167,7 +180,7 @@ SimTime StorageSystem::PowerLoss(SimTime now) {
     rec.op = OpType::kWrite;
     rec.lba = w.lba;
     rec.block_count = w.count;
-    rec.file_id = ~std::uint32_t{0} - 1;
+    rec.file_id = kSramFlushFile;
     // Recovery replay; transient errors are not modeled on this path.
     device_->Write(now + recovery, rec);
   }
@@ -182,27 +195,7 @@ SimTime StorageSystem::PowerLoss(SimTime now) {
 }
 
 void StorageSystem::SyncDirtyCache(SimTime now) {
-  for (const BufferCache::DirtyRange& range : dram_.DrainDirty()) {
-    BlockRecord rec;
-    rec.time_us = now;
-    rec.op = OpType::kWrite;
-    rec.lba = range.lba;
-    rec.block_count = range.count;
-    rec.file_id = ~std::uint32_t{0} - 2;
-    DeviceWrite(now, rec, WriteSource::kCacheSync);
-  }
-}
-
-void StorageSystem::WriteBackEvicted(SimTime now, const std::vector<std::uint64_t>& blocks) {
-  for (const std::uint64_t lba : blocks) {
-    BlockRecord rec;
-    rec.time_us = now;
-    rec.op = OpType::kWrite;
-    rec.lba = lba;
-    rec.block_count = 1;
-    rec.file_id = ~std::uint32_t{0} - 2;
-    DeviceWrite(now, rec, WriteSource::kCacheSync);
-  }
+  WriteRanges(now, dram_.DrainDirty(), kCacheSyncFile, WriteSource::kCacheSync);
 }
 
 SimTime StorageSystem::Handle(const BlockRecord& rec) {
@@ -243,9 +236,7 @@ SimTime StorageSystem::HandleRead(const BlockRecord& rec) {
   evicted_scratch_.clear();
   dram_.Insert(rec.lba, rec.block_count, &evicted_scratch_);
   dram_.NoteTransfer(bytes);
-  if (!evicted_scratch_.empty()) {
-    WriteBackEvicted(now + response, evicted_scratch_);
-  }
+  WriteRanges(now + response, evicted_scratch_, kCacheSyncFile, WriteSource::kCacheSync);
   return response;
 }
 
@@ -262,9 +253,7 @@ SimTime StorageSystem::HandleWrite(const BlockRecord& rec) {
     dram_.MarkDirty(rec.lba, rec.block_count);
     dram_.NoteTransfer(bytes);
     const SimTime response = dram_.AccessTime(bytes);
-    if (!evicted_scratch_.empty()) {
-      WriteBackEvicted(now + response, evicted_scratch_);
-    }
+    WriteRanges(now + response, evicted_scratch_, kCacheSyncFile, WriteSource::kCacheSync);
     return response;
   }
 

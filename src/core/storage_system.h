@@ -73,10 +73,6 @@ class StorageSystem {
   const BufferCache& dram() const { return dram_; }
   const SramWriteBuffer& sram() const { return sram_; }
 
-  // Total energy drawn so far across device + DRAM + SRAM (used for warm-up
-  // snapshots).
-  double TotalEnergyJoules() const;
-
  private:
   // Who issued a device write; decides its fate when power fails mid-flight.
   enum class WriteSource : std::uint8_t {
@@ -94,6 +90,10 @@ class StorageSystem {
     WriteSource source = WriteSource::kHost;
   };
 
+  // Energy drawn so far by device + DRAM + SRAM; PowerLoss charges the
+  // difference across recovery to fault_stats().recovery_energy_j.
+  double TotalEnergyJoules() const;
+
   SimTime HandleRead(const BlockRecord& rec);
   SimTime HandleWrite(const BlockRecord& rec);
   void HandleErase(const BlockRecord& rec);
@@ -104,13 +104,16 @@ class StorageSystem {
   SimTime DeviceRead(SimTime now, const BlockRecord& rec);
   SimTime DeviceWrite(SimTime now, const BlockRecord& rec, WriteSource source);
 
+  // Writes each of `ranges` to the device at `now` for `source`, under the
+  // sentinel `file_id`; returns the last completion time (or `now`).
+  SimTime WriteRanges(SimTime now, const std::vector<BlockRange>& ranges,
+                      std::uint32_t file_id, WriteSource source);
   // Writes all buffered SRAM ranges to the device starting at `now`;
   // returns the completion time.
   SimTime DrainSramTo(SimTime now);
   // Write-back mode: flushes the cache's dirty blocks to the device (off the
-  // critical path) and writes back a list of evicted dirty blocks.
+  // critical path).
   void SyncDirtyCache(SimTime now);
-  void WriteBackEvicted(SimTime now, const std::vector<std::uint64_t>& blocks);
 
   SimConfig config_;
   std::uint32_t block_bytes_;
@@ -128,7 +131,7 @@ class StorageSystem {
 
   // Per-call scratch for dirty-eviction victims, kept as a member so the hot
   // read/write paths do not allocate; cleared before each use.
-  std::vector<std::uint64_t> evicted_scratch_;
+  std::vector<BlockRange> evicted_scratch_;
 };
 
 // Capacity (bytes) a device needs so `trace_bytes` of live data fits at

@@ -47,15 +47,6 @@ FlashCacheSystem::FlashCacheSystem(const FlashCacheConfig& config)
   MOBISIM_CHECK(cache_capacity_blocks_ > 0);
 }
 
-bool FlashCacheSystem::CachedAll(std::uint64_t lba, std::uint32_t count) const {
-  for (std::uint32_t i = 0; i < count; ++i) {
-    if (!cache_.Contains(lba + i)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 SimTime FlashCacheSystem::Destage(SimTime now, std::uint64_t max_blocks) {
   // Collect dirty disk blocks in LBA (elevator) order, up to the budget.
   std::vector<std::uint64_t> dirty;
@@ -73,22 +64,12 @@ SimTime FlashCacheSystem::Destage(SimTime now, std::uint64_t max_blocks) {
   }
   ++destages_;
 
+  std::vector<BlockRange> runs;
+  CoalesceRuns(dirty, &runs);
   SimTime completion = now;
-  std::uint64_t run_start = dirty.front();
-  std::uint32_t run_len = 1;
-  auto flush_run = [&]() {
-    completion = now + disk_->Write(now, MakeRecord(now, OpType::kWrite, run_start, run_len));
-  };
-  for (std::size_t i = 1; i < dirty.size(); ++i) {
-    if (dirty[i] == run_start + run_len) {
-      ++run_len;
-    } else {
-      flush_run();
-      run_start = dirty[i];
-      run_len = 1;
-    }
+  for (const BlockRange& run : runs) {
+    completion = now + disk_->Write(now, MakeRecord(now, OpType::kWrite, run.lba, run.count));
   }
-  flush_run();
   return completion;
 }
 
@@ -136,11 +117,8 @@ SimTime FlashCacheSystem::HandleRead(const BlockRecord& rec) {
     dram_.NoteTransfer(bytes);
     return dram_.AccessTime(bytes);
   }
-  if (CachedAll(rec.lba, rec.block_count)) {
+  if (cache_.TouchAllIfPresent(rec.lba, rec.block_count)) {
     ++flash_hits_;
-    for (std::uint32_t i = 0; i < rec.block_count; ++i) {
-      cache_.TouchIfPresent(rec.lba + i);
-    }
     // Timing: one flash read of the full size (slot scatter is irrelevant on
     // a byte-addressed card).
     const SimTime response = flash_->Read(

@@ -78,8 +78,6 @@ class FlashCacheSystem {
   SimTime HandleWrite(const BlockRecord& rec);
   void HandleErase(const BlockRecord& rec);
 
-  // True if every block of the range is in the flash cache.
-  bool CachedAll(std::uint64_t lba, std::uint32_t count) const;
   // When the cache is full, evicts the LRU block (destaging first if it is
   // dirty) so the next insert reuses its flash slot.
   void MakeRoom(SimTime now);

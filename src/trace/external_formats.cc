@@ -73,10 +73,6 @@ bool ToBlocks(std::uint64_t start, std::uint64_t length, std::uint64_t units_per
   return true;
 }
 
-// Block maps index blocks in 32 bits (SegmentManager's slot map, for one),
-// so a trace may address at most 2^32 blocks.
-constexpr std::uint64_t kMaxTraceBlocks = std::uint64_t{1} << 32;
-
 // One request as a line of either format states it.
 struct Request {
   double time = 0.0;  // in the format's time unit

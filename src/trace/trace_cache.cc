@@ -253,6 +253,10 @@ TraceView ParseTraceEntry(std::string_view bytes, std::string* error, MmapFile* 
     SetError(error, "zero block size");
     return TraceView();
   }
+  if (total_blocks > kMaxTraceBlocks) {
+    SetError(error, "address space past 2^32 blocks");
+    return TraceView();
+  }
 
   // Point into the mapping when its columns are directly addressable;
   // otherwise decode them into owned vectors.
@@ -274,16 +278,21 @@ TraceView ParseTraceEntry(std::string_view bytes, std::string* error, MmapFile* 
   s.file_ids = Column(data, file_ids_off, n, in_place, &s.own_file_ids);
   s.ops = Column(data, ops_off, n, in_place, &s.own_ops);
 
-  // Every record must name a known op and lie inside the address space, or
-  // the devices would be sized for less than the trace touches.
+  // Every record must name a known op and touch 1..n blocks inside the
+  // address space: the caches would count a hit or an absorbed write for a
+  // record of zero blocks, and the devices are sized from total_blocks.
   bool bad_op = false;
+  bool bad_count = false;
   bool bad_range = false;
   for (std::size_t i = 0; i < n; ++i) {
     bad_op |= s.ops[i] > static_cast<std::uint8_t>(OpType::kErase);
+    bad_count |= s.counts[i] == 0;
     bad_range |= (s.lbas[i] > total_blocks) | (s.counts[i] > total_blocks - s.lbas[i]);
   }
-  if (bad_op || bad_range) {
-    SetError(error, bad_op ? "bad op byte" : "record outside the address space");
+  if (bad_op || bad_count || bad_range) {
+    SetError(error, bad_op      ? "bad op byte"
+                    : bad_count ? "record of zero blocks"
+                                : "record outside the address space");
     return TraceView();
   }
   if (in_place) {

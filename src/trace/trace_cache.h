@@ -64,11 +64,11 @@ std::string TraceCacheFingerprint(const std::string& workload, double scale,
 // (little-endian, with a trailing FNV-1a hash footer).
 std::string SerializeBlockTrace(const TraceView& trace);
 
-// The one parser of `.mtc` v2 bytes.  It checks the header, the exact size
-// and the footer hash, then every record: a known op byte, and blocks that
-// lie inside the trace's address space (lba + count <= total_blocks, with a
-// nonzero block size).  A valid entry comes back as a view.  When `map` is
-// non-null, `bytes` must be its contents: on a little-endian host with
+// The one parser of `.mtc` v2 bytes.  It checks the header (a nonzero block
+// size, total_blocks <= kMaxTraceBlocks), the exact size and the footer
+// hash, then every record: a known op byte and 1..n blocks inside the
+// address space (lba + count <= total_blocks).  A valid entry comes back as
+// a view.  When `map` is non-null, `bytes` must be its contents: on a little-endian host with
 // aligned columns the view points into the mapping and takes it over (zero
 // copy).  Otherwise, and always when `map` is null, the columns are decoded
 // into owned vectors.  On any failure returns an empty (null) view and

@@ -29,6 +29,12 @@
 
 namespace mobisim {
 
+// Block maps index blocks in 32 bits (SegmentManager's slot map, for one)
+// and devices are sized for a trace's whole address space, so a trace may
+// address at most 2^32 blocks.  The importers and the `.mtc` parser reject
+// anything larger.
+constexpr std::uint64_t kMaxTraceBlocks = std::uint64_t{1} << 32;
+
 // The immutable backing of a TraceView.  Filled either by a TraceBuilder
 // (owned vectors) or by the trace cache's parser (column pointers into
 // `map`, or decoded owned vectors).  Consumers never touch this directly.

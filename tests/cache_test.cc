@@ -256,7 +256,7 @@ TEST(SramWriteBufferTest, MatchesReferenceModel) {
       };
       const auto drain = [&] {
         const auto runs = ref.Drain();
-        const std::vector<SramWriteBuffer::FlushRange>& ranges = sram.Drain();
+        const std::vector<BlockRange>& ranges = sram.Drain();
         ASSERT_EQ(ranges.size(), runs.size());
         for (std::size_t i = 0; i < runs.size(); ++i) {
           ASSERT_EQ(ranges[i].lba, runs[i].first) << "range " << i;

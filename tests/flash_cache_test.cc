@@ -60,6 +60,34 @@ TEST(FlashCacheTest, DirtyThresholdTriggersDestage) {
   EXPECT_GT(system.cached_blocks(), 0u);
 }
 
+TEST(FlashCacheTest, ReadMissDestagesTheLowestChunkOneWritePerRun) {
+  FlashCacheConfig config = SmallConfig();
+  config.destage_chunk_blocks = 10;
+  FlashCacheSystem system(config);
+  // 16 dirty blocks in three runs: [0, 6), [10, 12), [20, 28).
+  system.Handle(Rec(0, OpType::kWrite, 20, 8));
+  system.Handle(Rec(1000, OpType::kWrite, 0, 6));
+  system.Handle(Rec(2000, OpType::kWrite, 10, 2));
+  ASSERT_EQ(system.dirty_blocks(), 16u);
+  ASSERT_EQ(system.disk_counters().writes, 0u);
+
+  // The miss spins the disk up and piggybacks one chunk: the 10 lowest
+  // dirty LBAs, 0-5, 10-11 and 20-21, as one disk write per run.
+  system.Handle(Rec(10 * kUsPerSec, OpType::kRead, 500, 1));
+  EXPECT_EQ(system.destages(), 1u);
+  EXPECT_EQ(system.disk_counters().writes, 3u);
+  EXPECT_EQ(system.disk_counters().bytes_written, 10u * config.block_bytes);
+  EXPECT_EQ(system.dirty_blocks(), 6u);
+  EXPECT_EQ(system.cached_blocks(), 17u);  // destaged blocks stay cached
+
+  // Erasing the destaged blocks drops no dirty data; erasing 22-27 drops
+  // exactly the rest.
+  system.Handle(Rec(11 * kUsPerSec, OpType::kErase, 0, 22));
+  EXPECT_EQ(system.dirty_blocks(), 6u);
+  system.Handle(Rec(12 * kUsPerSec, OpType::kErase, 22, 6));
+  EXPECT_EQ(system.dirty_blocks(), 0u);
+}
+
 TEST(FlashCacheTest, EvictionRecyclesSlots) {
   FlashCacheConfig config = SmallConfig();
   config.flash_bytes = 256 * 1024;  // tiny cache: 2 segments

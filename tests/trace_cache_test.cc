@@ -77,6 +77,11 @@ std::size_t LbaOffset(const std::string& data, std::size_t record) {
   return 32 + (name_len + 7) / 8 * 8 + 8 * records + 8 * record;
 }
 
+std::size_t CountOffset(const std::string& data, std::size_t record) {
+  const std::size_t records = ReadLe(data, 16, 8);
+  return LbaOffset(data, 0) + 8 * records + 4 * record;
+}
+
 std::size_t OpOffset(const std::string& data, std::size_t record) {
   const std::size_t records = ReadLe(data, 16, 8);
   return LbaOffset(data, 0) + 8 * records + 2 * ((4 * records + 7) / 8 * 8) + record;
@@ -238,18 +243,25 @@ TEST(TraceCacheTest, CorruptEntryIsDetectedRemovedAndRegenerated) {
   EXPECT_TRUE(again.LoadView(TraceCacheFingerprint("synth", 0.02, 7)));
 }
 
-TEST(TraceCacheTest, EntryWithRecordOutsideAddressSpaceIsCorrupt) {
-  const std::string dir = FreshDir("tc_range");
+// Stores an entry, forges it with `forge` and re-seals the footer, so the
+// entry passes the hash check and only the parser's semantic checks can
+// catch it (with an error naming `expected_error`); then expects the warm
+// load to count it corrupt and regenerate it.
+template <typename Forge>
+void ExpectForgedEntryRegenerated(const std::string& dir_name, const std::string& expected_error,
+                                  Forge forge) {
+  const std::string dir = FreshDir(dir_name);
   TraceCache cache(dir);
   const TraceView original = LoadOrGenerateTraceView(&cache, "synth", 0.02, 7);
   const std::string path = cache.EntryPath(TraceCacheFingerprint("synth", 0.02, 7));
 
-  // Forge a record far past the address space and re-seal the footer, so
-  // the entry passes the hash check and only the range check catches it.
   std::string data;
   ASSERT_TRUE(ReadFileToString(path, &data));
-  WriteLe(&data, LbaOffset(data, 0), 8, 1000000000);
+  forge(&data);
   Reseal(&data);
+  std::string error;
+  EXPECT_FALSE(ParseTraceEntry(data, &error));
+  EXPECT_NE(error.find(expected_error), std::string::npos) << error;
   ASSERT_TRUE(WriteFileAtomic(path, data));
 
   TraceCache reread(dir);
@@ -262,6 +274,28 @@ TEST(TraceCacheTest, EntryWithRecordOutsideAddressSpaceIsCorrupt) {
   EXPECT_TRUE(SameTrace(original, regenerated));
   EXPECT_EQ(ListTraceCache(dir).size(), 1u);
   EXPECT_TRUE(ListTraceCache(dir).front().valid);
+}
+
+TEST(TraceCacheTest, EntryWithRecordOutsideAddressSpaceIsCorrupt) {
+  ExpectForgedEntryRegenerated("tc_range", "outside the address space", [](std::string* data) {
+    WriteLe(data, LbaOffset(*data, 0), 8, 1000000000);
+  });
+}
+
+// A header total_blocks past kMaxTraceBlocks would size the devices past
+// their 32-bit block maps; every record still lies inside it.
+TEST(TraceCacheTest, EntryWithAddressSpacePast32BitsIsCorrupt) {
+  ExpectForgedEntryRegenerated("tc_total", "past 2^32 blocks", [](std::string* data) {
+    WriteLe(data, 24, 8, kMaxTraceBlocks + 1);
+  });
+}
+
+// A record of zero blocks would count a DRAM hit or an absorbed SRAM write
+// that touches nothing.
+TEST(TraceCacheTest, EntryWithZeroBlockRecordIsCorrupt) {
+  ExpectForgedEntryRegenerated("tc_zero_count", "zero blocks", [](std::string* data) {
+    WriteLe(data, CountOffset(*data, 0), 4, 0);
+  });
 }
 
 TEST(TraceCacheTest, UnwritableDirectoryDegradesToGeneration) {

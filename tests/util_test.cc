@@ -293,6 +293,31 @@ TEST(TablePrinterTest, CsvOutput) {
   EXPECT_EQ(out.str(), "a,b\n1,2\n");
 }
 
+// (lba, count) pairs, for readable comparisons of coalesced runs.
+std::vector<std::pair<std::uint64_t, std::uint32_t>> Runs(const std::vector<BlockRange>& ranges) {
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> out;
+  for (const BlockRange& r : ranges) {
+    out.emplace_back(r.lba, r.count);
+  }
+  return out;
+}
+
+TEST(CoalesceRunsTest, SplitsSortedBlocksAtEveryGap) {
+  using RunList = std::vector<std::pair<std::uint64_t, std::uint32_t>>;
+  std::vector<BlockRange> ranges = {BlockRange{99, 1}};  // replaced, not appended to
+  CoalesceRuns({}, &ranges);
+  EXPECT_TRUE(ranges.empty());
+  CoalesceRuns({7}, &ranges);
+  EXPECT_EQ(Runs(ranges), (RunList{{7, 1}}));
+  // Gaps of one block and more, a lone block between runs, and a run that
+  // ends the input.
+  CoalesceRuns({0, 1, 2, 4, 9, 10, 20, 21, 22, 23}, &ranges);
+  EXPECT_EQ(Runs(ranges), (RunList{{0, 3}, {4, 1}, {9, 2}, {20, 4}}));
+  // A block that would extend the previous call's last run starts afresh.
+  CoalesceRuns({24, 25}, &ranges);
+  EXPECT_EQ(Runs(ranges), (RunList{{24, 2}}));
+}
+
 TEST(FlatBlockSetTest, MembersAreDenseAndEraseMovesTheLastIntoTheHole) {
   FlatBlockSet set;
   for (const std::uint64_t lba : {10u, 20u, 30u, 40u}) {

@@ -29,9 +29,10 @@ TEST(BufferCacheDirtyTest, EvictionReportsDirtyVictims) {
   BufferCache cache(NecDramSpec(), 2 * 1024, 1024);  // 2 blocks
   cache.Insert(0, 2);
   cache.MarkDirty(0, 2);
-  std::vector<std::uint64_t> evicted;
+  std::vector<BlockRange> evicted;
   cache.Insert(10, 1, &evicted);  // evicts LRU (block 0 or 1)
   ASSERT_EQ(evicted.size(), 1u);
+  EXPECT_EQ(evicted[0].count, 1u);
   EXPECT_EQ(cache.dirty_blocks(), 1u);
 }
 
