@@ -39,8 +39,12 @@ class MemoryPower {
     return static_cast<SimTime>(spec_.access_overhead_us) +
            TransferTimeUs(bytes, transfer_kbps_);
   }
-  // Accounts active energy for a transfer of `bytes`.
-  void NoteTransfer(std::uint64_t bytes) { meter_.Accumulate(kModeActive, AccessTime(bytes)); }
+  // Accounts active energy for a transfer of `bytes` and returns its time.
+  SimTime Transfer(std::uint64_t bytes) {
+    const SimTime time = AccessTime(bytes);
+    meter_.Accumulate(kModeActive, time);
+    return time;
+  }
   // Accounts standby energy up to `t`.
   void AccountUntil(SimTime t) {
     if (t <= accounted_until_ || !enabled()) {

@@ -7,12 +7,17 @@
 // the device and the triggering write waits.  Recently written blocks are
 // readable out of the buffer.
 //
-// While the disk spins, every absorbed write is drained at once (write-
-// behind), so Absorb and Drain sit on the per-record path and cost
-// O(blocks absorbed or drained): the dirty set is cleared member by member,
-// never slot by slot, and Drain builds its ranges in member scratch vectors
-// that are reused, so a steady-state drain allocates nothing.  The list
-// Drain returns is that scratch: it stays valid until the next Drain.
+// While the disk spins, every write is flushed at once (write-behind).  A
+// write that meets an empty buffer passes straight to the device as its own
+// flush range, without touching the dirty set, and is counted as one
+// absorbed write and one flush (CountPassThrough): absorbing and draining
+// it would issue exactly that range.  Only writes that meet buffered blocks
+// -- flush-on-fill, and the first drain after a spin-up -- go through
+// Absorb and Drain, which cost O(blocks absorbed or drained): the dirty set
+// is cleared member by member, never slot by slot, and Drain builds its
+// ranges in member scratch vectors that are reused, so a steady-state drain
+// allocates nothing.  The list Drain returns is that scratch: it stays
+// valid until the next Drain.
 #ifndef MOBISIM_SRC_CACHE_SRAM_WRITE_BUFFER_H_
 #define MOBISIM_SRC_CACHE_SRAM_WRITE_BUFFER_H_
 
@@ -22,6 +27,7 @@
 #include "src/cache/memory_power.h"
 #include "src/device/device_spec.h"
 #include "src/util/block_hash.h"
+#include "src/util/check.h"
 
 namespace mobisim {
 
@@ -33,9 +39,10 @@ class SramWriteBuffer : public MemoryPower {
   std::uint64_t dirty_blocks() const { return dirty_.size(); }
 
   // True if every block of the range is buffered (read can be serviced
-  // here).  Inline: probed once per simulated operation.
+  // here).  Inline: probed once per simulated operation.  An empty buffer
+  // (always the case when disabled) answers without probing.
   bool ContainsAll(std::uint64_t lba, std::uint32_t count) const {
-    if (!enabled() || count == 0) {
+    if (dirty_.empty() || count == 0) {
       return false;
     }
     for (std::uint32_t i = 0; i < count; ++i) {
@@ -48,7 +55,7 @@ class SramWriteBuffer : public MemoryPower {
   // True if any block of the range is buffered (read below would see stale
   // data; the caller must drain first).
   bool ContainsAny(std::uint64_t lba, std::uint32_t count) const {
-    if (!enabled()) {
+    if (dirty_.empty()) {
       return false;
     }
     for (std::uint32_t i = 0; i < count; ++i) {
@@ -72,6 +79,15 @@ class SramWriteBuffer : public MemoryPower {
   // by LBA.  The reference stays valid until the next Drain; an empty
   // buffer yields an empty list and counts no flush.
   const std::vector<BlockRange>& Drain();
+
+  // Counts a write that the empty buffer passed straight to the device as
+  // its own flush: one absorbed write and one flush, exactly what absorbing
+  // it and draining at once would count.
+  void CountPassThrough() {
+    MOBISIM_DCHECK(dirty_.empty());
+    ++absorbed_;
+    ++flushes_;
+  }
 
   std::uint64_t absorbed_writes() const { return absorbed_; }
   std::uint64_t flushes() const { return flushes_; }

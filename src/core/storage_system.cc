@@ -218,13 +218,12 @@ SimTime StorageSystem::HandleRead(const BlockRecord& rec) {
   const std::uint64_t bytes = static_cast<std::uint64_t>(rec.block_count) * block_bytes_;
 
   if (dram_.ReadHit(rec.lba, rec.block_count)) {
-    dram_.NoteTransfer(bytes);
-    return dram_.AccessTime(bytes);
+    return dram_.Transfer(bytes);
   }
   if (sram_.ContainsAll(rec.lba, rec.block_count)) {
-    sram_.NoteTransfer(bytes);
+    const SimTime response = sram_.Transfer(bytes);
     dram_.Insert(rec.lba, rec.block_count);
-    return sram_.AccessTime(bytes);
+    return response;
   }
 
   SimTime start = now;
@@ -235,7 +234,7 @@ SimTime StorageSystem::HandleRead(const BlockRecord& rec) {
   const SimTime response = (start - now) + DeviceRead(start, rec);
   evicted_scratch_.clear();
   dram_.Insert(rec.lba, rec.block_count, &evicted_scratch_);
-  dram_.NoteTransfer(bytes);
+  dram_.Transfer(bytes);
   WriteRanges(now + response, evicted_scratch_, kCacheSyncFile, WriteSource::kCacheSync);
   return response;
 }
@@ -251,21 +250,35 @@ SimTime StorageSystem::HandleWrite(const BlockRecord& rec) {
     evicted_scratch_.clear();
     dram_.Insert(rec.lba, rec.block_count, &evicted_scratch_);
     dram_.MarkDirty(rec.lba, rec.block_count);
-    dram_.NoteTransfer(bytes);
-    const SimTime response = dram_.AccessTime(bytes);
+    const SimTime response = dram_.Transfer(bytes);
     WriteRanges(now + response, evicted_scratch_, kCacheSyncFile, WriteSource::kCacheSync);
     return response;
   }
 
   // Write-through, write-allocate DRAM.
   dram_.Insert(rec.lba, rec.block_count);
-  dram_.NoteTransfer(bytes);
+  dram_.Transfer(bytes);
 
   if (!sram_.enabled() || rec.block_count > sram_.capacity_blocks()) {
     // No buffer (or the write cannot possibly fit): synchronous device write.
     // Under fault injection the host ack still happens at issue time, so a
     // power loss inside this window loses the data (no battery backing).
     return DeviceWrite(now, rec, WriteSource::kHost);
+  }
+
+  if (sram_.dirty_blocks() == 0 && rec.block_count > 0 &&
+      !device_->SleepingAt(now + sram_.AccessTime(bytes))) {
+    // Pass-through: absorbing into the empty buffer and draining it at once
+    // (the write-behind below) would flush exactly this range, so issue it
+    // as that flush directly.  It stays a kSramFlush write, so a power loss
+    // inside its window puts it back into the battery-backed buffer.
+    const SimTime response = sram_.Transfer(bytes);
+    sram_.CountPassThrough();
+    BlockRecord flush = rec;
+    flush.time_us = now + response;
+    flush.file_id = kSramFlushFile;
+    DeviceWrite(now + response, flush, WriteSource::kSramFlush);
+    return response;
   }
 
   SimTime response = 0;
@@ -276,8 +289,7 @@ SimTime StorageSystem::HandleWrite(const BlockRecord& rec) {
     response = drained_at - now;
     MOBISIM_CHECK(sram_.Absorb(rec.lba, rec.block_count));
   }
-  sram_.NoteTransfer(bytes);
-  response += sram_.AccessTime(bytes);
+  response += sram_.Transfer(bytes);
 
   // Write-behind: while the device is awake anyway, drain eagerly so the
   // buffer is empty when the disk next spins down.

@@ -114,8 +114,7 @@ SimTime FlashCacheSystem::HandleRead(const BlockRecord& rec) {
   const std::uint64_t bytes = static_cast<std::uint64_t>(rec.block_count) * config_.block_bytes;
 
   if (dram_.ReadHit(rec.lba, rec.block_count)) {
-    dram_.NoteTransfer(bytes);
-    return dram_.AccessTime(bytes);
+    return dram_.Transfer(bytes);
   }
   if (cache_.TouchAllIfPresent(rec.lba, rec.block_count)) {
     ++flash_hits_;
@@ -124,7 +123,7 @@ SimTime FlashCacheSystem::HandleRead(const BlockRecord& rec) {
     const SimTime response = flash_->Read(
         now, MakeRecord(now, OpType::kRead, cache_.IndexOf(rec.lba), rec.block_count));
     dram_.Insert(rec.lba, rec.block_count);
-    dram_.NoteTransfer(bytes);
+    dram_.Transfer(bytes);
     return response;
   }
 
@@ -133,7 +132,7 @@ SimTime FlashCacheSystem::HandleRead(const BlockRecord& rec) {
   // Fill the flash cache off the critical path, then cache in DRAM too.
   InstallRange(now + response, rec.lba, rec.block_count, /*dirty=*/false);
   dram_.Insert(rec.lba, rec.block_count);
-  dram_.NoteTransfer(bytes);
+  dram_.Transfer(bytes);
   // Piggyback: the miss spun the disk up anyway; use the session to destage
   // a bounded chunk of dirty data instead of paying dedicated spin-ups
   // later.
@@ -147,7 +146,7 @@ SimTime FlashCacheSystem::HandleWrite(const BlockRecord& rec) {
   const SimTime now = rec.time_us;
   const std::uint64_t bytes = static_cast<std::uint64_t>(rec.block_count) * config_.block_bytes;
   dram_.Insert(rec.lba, rec.block_count);
-  dram_.NoteTransfer(bytes);
+  dram_.Transfer(bytes);
 
   // Flash is non-volatile: the write is durable once it lands there.
   const SimTime response = InstallRange(now, rec.lba, rec.block_count, /*dirty=*/true);

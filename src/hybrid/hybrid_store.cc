@@ -196,9 +196,9 @@ SimTime HybridStore::Handle(const BlockRecord& rec) {
   const std::uint64_t bytes =
       static_cast<std::uint64_t>(rec.block_count) * config_.block_bytes;
   if (rec.op == OpType::kRead && dram_.ReadHit(rec.lba, rec.block_count)) {
-    dram_.NoteTransfer(bytes);
+    const SimTime response = dram_.Transfer(bytes);
     ConsiderPromotion(rec.file_id, file, rec.time_us);
-    return dram_.AccessTime(bytes);
+    return response;
   }
 
   // Route to the owning device, translating to its address space.
@@ -216,7 +216,7 @@ SimTime HybridStore::Handle(const BlockRecord& rec) {
                                        : disk_->Write(rec.time_us, rec);
   }
   dram_.Insert(rec.lba, rec.block_count);
-  dram_.NoteTransfer(bytes);
+  dram_.Transfer(bytes);
   ConsiderPromotion(rec.file_id, file, rec.time_us);
   return response;
 }

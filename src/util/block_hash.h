@@ -258,15 +258,19 @@ class LruBlockMap {
   }
 
   // When every block of [lba, lba + count) is present, moves them to the
-  // MRU position in order and returns true; otherwise changes nothing.
+  // MRU position in order and returns true; otherwise changes nothing.  One
+  // probe per block: the first pass keeps the entry indices it finds.
   bool TouchAllIfPresent(std::uint64_t lba, std::uint32_t count) {
+    touch_scratch_.clear();
     for (std::uint32_t i = 0; i < count; ++i) {
-      if (!Contains(lba + i)) {
+      const std::uint32_t idx = IndexOf(lba + i);
+      if (idx == kNoIndex) {
         return false;
       }
+      touch_scratch_.push_back(idx);
     }
-    for (std::uint32_t i = 0; i < count; ++i) {
-      TouchIfPresent(lba + i);
+    for (const std::uint32_t idx : touch_scratch_) {
+      MoveToFront(idx);
     }
     return true;
   }
@@ -431,6 +435,7 @@ class LruBlockMap {
   std::uint32_t tail_ = kNoIndex;
   std::uint32_t free_head_ = kNoIndex;
   std::size_t dirty_count_ = 0;
+  std::vector<std::uint32_t> touch_scratch_;  // TouchAllIfPresent's indices
 };
 
 }  // namespace mobisim

@@ -158,6 +158,74 @@ TEST(StorageSystemTest, WriteBehindAfterLargeBufferDrainsOnlyNewBlocks) {
   EXPECT_EQ(system.device().counters().spinups, 1u);
 }
 
+// SRAM active energy so far (mode 0 of the SRAM meter).
+double SramActiveJoules(const StorageSystem& system) {
+  EXPECT_EQ(system.sram().energy().mode_name(0), "active");
+  return system.sram().energy().mode_joules(0);
+}
+
+TEST(StorageSystemTest, PassThroughWriteCountsAsOneAbsorbAndOneFlush) {
+  // The disk spins and the buffer is empty: the write passes straight to the
+  // device as its own flush, yet counts, costs and answers as an absorbed
+  // write that is drained at once.
+  StorageSystem system(DiskConfig(0, 32 * 1024), 100, kBlock);
+  system.Handle(Rec(0, OpType::kRead, 50, 1));  // the disk is up
+  const std::uint64_t writes = system.device().counters().writes;
+  const std::uint64_t bytes = system.device().counters().bytes_written;
+  const SimTime response = system.Handle(Rec(kUsPerSec, OpType::kWrite, 10, 3));
+  EXPECT_EQ(response, system.sram().AccessTime(3 * kBlock));
+  EXPECT_EQ(system.sram().absorbed_writes(), 1u);
+  EXPECT_EQ(system.sram().flushes(), 1u);
+  EXPECT_EQ(system.sram().dirty_blocks(), 0u);
+  EXPECT_EQ(system.device().counters().writes, writes + 1);
+  EXPECT_EQ(system.device().counters().bytes_written, bytes + 3 * kBlock);
+
+  // The same write absorbed while the disk sleeps draws the same SRAM
+  // active energy.
+  StorageSystem asleep(DiskConfig(0, 32 * 1024), 100, kBlock);
+  asleep.Handle(Rec(10 * kUsPerSec, OpType::kWrite, 10, 3));
+  ASSERT_EQ(asleep.sram().dirty_blocks(), 3u);
+  EXPECT_GT(SramActiveJoules(system), 0.0);
+  EXPECT_EQ(SramActiveJoules(system), SramActiveJoules(asleep));
+}
+
+TEST(StorageSystemTest, ZeroBlockWriteCountsAnAbsorbAndNoFlush) {
+  StorageSystem system(DiskConfig(0, 32 * 1024), 100, kBlock);
+  system.Handle(Rec(0, OpType::kRead, 50, 1));  // the disk is up
+  const std::uint64_t writes = system.device().counters().writes;
+  system.Handle(Rec(kUsPerSec, OpType::kWrite, 10, 0));
+  EXPECT_EQ(system.sram().absorbed_writes(), 1u);
+  EXPECT_EQ(system.sram().flushes(), 0u);
+  EXPECT_EQ(system.sram().dirty_blocks(), 0u);
+  EXPECT_EQ(system.device().counters().writes, writes);
+}
+
+TEST(StorageSystemTest, PowerLossDuringPassThroughKeepsTheRangeInSram) {
+  SimConfig config = DiskConfig(0, 32 * 1024);
+  // Enables in-flight write tracking; the test calls PowerLoss itself.
+  config.fault.power_loss_interval_us = 1000 * kUsPerSec;
+  StorageSystem system(config, 100, kBlock);
+  system.Handle(Rec(0, OpType::kRead, 50, 1));  // the disk is up
+  const SimTime t = kUsPerSec;
+  const SimTime response = system.Handle(Rec(t, OpType::kWrite, 20, 4));
+  ASSERT_EQ(system.sram().flushes(), 1u);
+  ASSERT_EQ(system.sram().dirty_blocks(), 0u);
+  const std::uint64_t writes = system.device().counters().writes;
+  // The device write takes milliseconds; the lights go out 1 us after the
+  // host was acknowledged.
+  system.PowerLoss(t + response + 1);
+  EXPECT_EQ(system.fault_stats().power_losses, 1u);
+  EXPECT_EQ(system.fault_stats().lost_acked_blocks, 0u);
+  EXPECT_EQ(system.sram().dirty_blocks(), 4u);
+  EXPECT_TRUE(system.sram().ContainsAll(20, 4));
+
+  // After recovery the range still reaches the device.
+  system.Finish(t + kUsPerSec);
+  EXPECT_EQ(system.sram().dirty_blocks(), 0u);
+  EXPECT_EQ(system.device().counters().writes, writes + 1);
+  EXPECT_EQ(system.fault_stats().lost_acked_blocks, 0u);
+}
+
 TEST(StorageSystemTest, EraseInvalidatesEverywhere) {
   StorageSystem system(DiskConfig(1024 * 1024, 32 * 1024), 100, kBlock);
   const SimTime t = 10 * kUsPerSec;
